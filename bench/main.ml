@@ -11,8 +11,8 @@
      dune exec bench/main.exe -- --jobs 4     # parallel corpus-generation
                                               # benchmark (1 vs 4 domains),
                                               # writes BENCH_parallel.json
-     dune exec bench/main.exe -- --trace t.json --metrics-out m.json
-                                              # Chrome trace + metrics snapshot
+     dune exec bench/main.exe -- --trace t.json --metrics-out m.jsonl
+                                              # Chrome trace + run ledger
                                               # (also via LIGER_TRACE_OUT /
                                               # LIGER_METRICS_OUT)
 
@@ -722,7 +722,7 @@ let usage () =
   prerr_endline "  --jobs N          run the parallel corpus-generation benchmark on N domains";
   prerr_endline "                    (alone: only that benchmark; with other flags: those too)";
   prerr_endline "  --trace FILE      write a Chrome trace_event JSON (chrome://tracing / Perfetto)";
-  prerr_endline "  --metrics-out FILE  write a metrics snapshot JSON on exit";
+  prerr_endline "  --metrics-out FILE  write the run ledger (JSONL) to FILE";
   prerr_endline "  --profile         enable the model profiler (per-op FLOPs, per-layer timings)";
   prerr_endline "  --history FILE    append the parallel benchmark's record to a JSONL history";
   prerr_endline "                    (diff runs with 'liger stats --diff FILE')";

@@ -13,9 +13,9 @@
      dataset         - generate a corpus and print Table 1-style statistics
      train           - train a model on a generated corpus and report metrics
      experiments     - run the paper's tables/figures (same as bench/main.exe)
-     stats    FILE   - summarize or validate a telemetry file written via
-                       --metrics-out/--trace (or the LIGER_*_OUT env vars);
-                       --openmetrics renders Prometheus text exposition
+     stats    FILE   - summarize, validate or diff a telemetry file: a run
+                       ledger (metrics.jsonl), trace, postmortem or benchmark
+                       history; --openmetrics renders Prometheus text exposition
      top     [RUN]   - live view of a training run's ledger (throughput, loss,
                        grad norms, pool, GC, bufpool; see --metrics-every)
      serve           - long-running embedding server: POST /embed /search
@@ -45,7 +45,9 @@ let obs_term =
   let metrics_out =
     Arg.(value & opt (some string) None
          & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:"Write a metrics snapshot (JSON) to $(docv) on exit.")
+             ~doc:"Write the run ledger (JSONL, one metrics snapshot per line, \
+                   the last one at exit) to $(docv) instead of \
+                   $(i,runs/<run-id>/metrics.jsonl).")
   in
   let trace_out =
     Arg.(value & opt (some string) None
@@ -64,8 +66,8 @@ let obs_term =
   let metrics_every =
     Arg.(value & opt (some float) None
          & info [ "metrics-every" ] ~docv:"SECONDS"
-             ~doc:"Append an enriched metrics snapshot to the run ledger \
-                   $(i,runs/<run-id>/metrics.jsonl) every $(docv) seconds (also \
+             ~doc:"Also append an enriched metrics snapshot to the run ledger \
+                   every $(docv) seconds, before the exit snapshot (also \
                    LIGER_METRICS_EVERY; implies metrics).  Watch it live with \
                    $(b,liger top).")
   in
@@ -706,27 +708,28 @@ let stats_cmd =
     Arg.(value & pos 1 (some file) None
          & info [] ~docv:"FILE2"
              ~doc:"Second file for $(b,--diff); omit to diff the last two \
-                   records of a JSONL history.")
+                   snapshots of a run ledger or records of a JSONL history.")
   in
   let validate =
     Arg.(value & flag
          & info [ "validate" ]
-             ~doc:"Check structure only (trace events matched, metrics sections \
-                   present, profile counters consistent); exit non-zero on \
-                   malformed input.")
+             ~doc:"Check structure only (trace events matched; every ledger \
+                   line a timestamped snapshot with consistent profile \
+                   counters); exit non-zero on malformed input, naming the \
+                   line.")
   in
   let diff =
     Arg.(value & flag
          & info [ "diff" ]
-             ~doc:"Compare two snapshots (metrics JSON, flat bench JSON, or \
-                   JSONL history) and print a delta table; with a single JSONL \
-                   history, compares its last two records.  Rows whose relative \
+             ~doc:"Compare the last snapshots (or records) of two run ledgers, \
+                   postmortems or JSONL histories and print a delta table; with \
+                   a single file, compares its last two.  Rows whose relative \
                    change exceeds the threshold are flagged with '!'.")
   in
   let openmetrics =
     Arg.(value & flag
          & info [ "openmetrics" ]
-             ~doc:"Render the snapshot (or the last line of a run ledger) in \
+             ~doc:"Render the last snapshot of a run ledger (or a postmortem's) in \
                    OpenMetrics/Prometheus text exposition format; with \
                    $(b,--validate), lint the exposition instead of printing it.")
   in
@@ -738,8 +741,8 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Summarize, validate or diff telemetry files (metrics snapshots, \
-             run ledgers, postmortems, Chrome traces, benchmark histories)")
+       ~doc:"Summarize, validate or diff telemetry files (run ledgers, \
+             postmortems, Chrome traces, benchmark histories)")
     Term.(const run $ file $ file2 $ validate $ diff $ openmetrics $ threshold)
 
 (* ---------------- top ---------------- *)

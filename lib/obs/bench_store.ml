@@ -5,8 +5,7 @@
     (benchmark name, git rev, caller-supplied ISO date, jobs) and a flat
     name→number metrics map.  Appending never rewrites the file, so
     histories accumulate across runs/machines and stay trivially mergeable;
-    readers skip blank lines and report the line number of anything
-    malformed.
+    readers share the run ledger's line rules ({!Json.parse_lines}).
 
     {!diff} compares two flat metric maps and flags relative changes beyond
     a threshold — the engine behind [liger stats --diff] and
@@ -77,25 +76,26 @@ let append ~path (r : record) =
   output_char oc '\n';
   close_out oc
 
+(** Parsed JSONL lines (see {!Json.parse_lines}) as records; a line that
+    is not a record is an error naming its line number. *)
+let records_of_lines lines : (record list, string) result =
+  List.fold_left
+    (fun acc (lineno, j) ->
+      Result.bind acc (fun rs ->
+          match parse_record j with
+          | Ok r -> Ok (r :: rs)
+          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
+    (Ok []) lines
+  |> Result.map List.rev
+
 (** All records in file order; blank lines are skipped, a malformed line is
-    an error naming its line number. *)
+    an error naming its line number, and a torn final line is dropped. *)
 let load path : (record list, string) result =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | line when String.trim line = "" -> go (lineno + 1) acc
-        | line -> (
-            match Json.parse line with
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-            | Ok j -> (
-                match parse_record j with
-                | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-                | Ok r -> go (lineno + 1) (r :: acc)))
-      in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go 1 [])
+  match Json.read_all path with
+  | Error _ as e -> e
+  | Ok text ->
+      Result.bind (Json.parse_lines text) records_of_lines
+      |> Result.map_error (Printf.sprintf "%s: %s" path)
 
 (** Most recent record matching [benchmark] (and [jobs] when given). *)
 let last_matching ?jobs ~benchmark records =

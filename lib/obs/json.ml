@@ -1,8 +1,8 @@
 (** A minimal JSON reader/writer.
 
-    The telemetry files ({!Metrics} snapshots, {!Span} Chrome traces) are
-    written by hand for deterministic key order, and read back by
-    [liger stats] and the test suite.  The container has no JSON library
+    The telemetry files (the {!Timeseries} run ledger, {!Span} Chrome
+    traces) are written by hand for deterministic key order, and read
+    back by [liger stats] and the test suite.  The container has no JSON library
     baked in, so this is a small self-contained implementation: the writer
     side is just escaping and float formatting helpers, the reader is a
     plain recursive-descent parser over the full JSON grammar. *)
@@ -215,15 +215,37 @@ let parse (s : string) : (t, string) result =
   | v -> Ok v
   | exception Error msg -> Error msg
 
-let parse_file path =
+let read_all path =
   match
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | s -> parse s
+  | s -> Ok s
   | exception Sys_error msg -> Error msg
+
+let parse_file path = Result.bind (read_all path) parse
+
+(** The records of a JSONL text, oldest first, each with its 1-based
+    line number.  Blank lines are skipped.  A malformed line that ends in
+    a newline is an error naming its line number.  A final line without
+    its newline is kept only when it parses: it is then complete and only
+    its newline is missing.  Otherwise it is a torn append (the writer
+    was killed mid-line, or is still writing), and it is dropped. *)
+let parse_lines text : ((int * t) list, string) result =
+  let lines = String.split_on_char '\n' text in
+  let last = List.length lines in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | l :: rest when String.trim l = "" -> go (i + 1) acc rest
+    | l :: rest -> (
+        match parse l with
+        | Ok j -> go (i + 1) ((i, j) :: acc) rest
+        | Error _ when i = last -> go (i + 1) acc rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
+  in
+  go 1 [] lines
 
 (* ---------------- accessors ---------------- *)
 

@@ -9,9 +9,10 @@
     granularity (not per token), so contention is negligible next to the
     work being measured.
 
-    Snapshots render to JSON with deterministic key order (entries sorted by
-    name, then labels), so identical runs produce byte-identical files.
-    [LIGER_METRICS_OUT] (see {!Obs.init}) dumps a snapshot on exit. *)
+    Snapshots render to one JSON line with deterministic key order
+    (entries sorted by name, then labels), so identical runs produce
+    byte-identical lines.  Metrics-enabled runs append such lines to
+    their run ledger (see {!Obs.init} and {!Timeseries}). *)
 
 type labels = (string * string) list
 
@@ -121,20 +122,16 @@ let observe ?(labels = []) ?(buckets = default_buckets) name x =
 
 let reset () = locked (fun () -> Hashtbl.reset registry)
 
+(* call with the registry locked *)
+let remove_prefix prefix =
+  Hashtbl.fold
+    (fun ((name, _) as key) _ acc -> if String.starts_with ~prefix name then key :: acc else acc)
+    registry []
+  |> List.iter (Hashtbl.remove registry)
+
 (** Drop every metric whose name starts with [prefix] (subsystem resets,
     e.g. the pool stats between bench builds). *)
-let reset_prefix prefix =
-  locked (fun () ->
-      let doomed =
-        Hashtbl.fold
-          (fun ((name, _) as key) _ acc ->
-            if String.length name >= String.length prefix
-               && String.sub name 0 (String.length prefix) = prefix
-            then key :: acc
-            else acc)
-          registry []
-      in
-      List.iter (Hashtbl.remove registry) doomed)
+let reset_prefix prefix = locked (fun () -> remove_prefix prefix)
 
 (* ---------------- snapshots ---------------- *)
 
@@ -168,6 +165,29 @@ let snapshot () : snapshot =
           { e_name = name; e_labels = labels; e_value = value } :: acc)
         registry [])
   |> List.sort (fun a b -> compare (a.e_name, a.e_labels) (b.e_name, b.e_labels))
+
+(** Replace every metric whose name starts with [prefix] by [entries] in
+    one step, so a concurrent {!snapshot} holds either the old set or the
+    new one, never part of each.  A no-op while the registry is
+    disabled. *)
+let replace_prefix prefix (entries : entry list) =
+  if Atomic.get enabled_flag then
+    locked (fun () ->
+        remove_prefix prefix;
+        List.iter
+          (fun e ->
+            let metric =
+              match e.e_value with
+              | C c -> Counter { c }
+              | F f -> Fcounter { f }
+              | G g -> Gauge { g }
+              | H h ->
+                  Histogram
+                    { bounds = Array.copy h.buckets; counts = Array.copy h.counts; hsum = h.sum;
+                      hcount = h.count }
+            in
+            Hashtbl.replace registry (e.e_name, canon e.e_labels) metric)
+          entries)
 
 let find ?(labels = []) (snap : snapshot) name =
   let labels = canon labels in
@@ -222,7 +242,7 @@ let quantile (h : hist_view) q =
     go 0 0
   end
 
-(* ---------------- JSON export ---------------- *)
+(* ---------------- the ledger line ---------------- *)
 
 let render_key name labels =
   match labels with
@@ -255,99 +275,42 @@ let parse_rendered_key key =
       (name, canon labels)
   | Some _ -> (key, [])
 
-(** Render a snapshot as JSON with deterministic key order: one object per
-    metric kind, keys of the form [name{label=value,...}]. *)
-let to_json (snap : snapshot) =
-  let buf = Buffer.create 1024 in
-  let section kind keep render =
-    let entries = List.filter keep snap in
-    Buffer.add_string buf (Printf.sprintf "  %S: {" kind);
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\n    \"%s\": %s"
-             (Json.escape (render_key e.e_name e.e_labels))
-             (render e.e_value)))
-      entries;
-    if entries <> [] then Buffer.add_string buf "\n  ";
-    Buffer.add_string buf "}"
-  in
-  Buffer.add_string buf "{\n";
-  section "counters"
-    (fun e -> match e.e_value with C _ -> true | _ -> false)
-    (function C n -> string_of_int n | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  section "fcounters"
-    (fun e -> match e.e_value with F _ -> true | _ -> false)
-    (function F x -> Json.of_float x | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  section "gauges"
-    (fun e -> match e.e_value with G _ -> true | _ -> false)
-    (function G x -> Json.of_float x | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  section "histograms"
-    (fun e -> match e.e_value with H _ -> true | _ -> false)
-    (function
-      | H h ->
-          let floats a = String.concat "," (List.map Json.of_float (Array.to_list a)) in
-          let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
-          Printf.sprintf "{\"buckets\":[%s],\"counts\":[%s],\"sum\":%s,\"count\":%d}"
-            (floats h.buckets) (ints h.counts) (Json.of_float h.sum) h.count
-      | _ -> assert false);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
-
-(** Render a snapshot as one compact line of JSON — the run-ledger
-    (JSONL) format of {!Timeseries}.  [extra] fields (already-rendered
-    JSON values, e.g. a timestamp) come first; the four metric sections
-    follow in the same deterministic order as {!to_json}, so every
-    ledger line is itself a valid metrics snapshot. *)
-let to_json_compact ?(extra = []) (snap : snapshot) =
+(** Render a snapshot as one compact line of JSON — a run-ledger line
+    (see {!Timeseries}) and the one persisted metrics format.  [extra]
+    fields (already-rendered JSON values, e.g. a timestamp) come first;
+    then one object per metric kind, keys of the form
+    [name{label=value,...}], in deterministic order, so identical
+    registries render to identical bytes. *)
+let to_line ?(extra = []) (snap : snapshot) =
   let buf = Buffer.create 1024 in
   Buffer.add_char buf '{';
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "\"%s\":%s," (Json.escape k) v))
     extra;
-  let section kind keep render =
-    let entries = List.filter keep snap in
+  let section kind render =
+    let entries = List.filter_map (fun e -> Option.map (fun v -> (e, v)) (render e.e_value)) snap in
     Buffer.add_string buf (Printf.sprintf "\"%s\":{" kind);
     List.iteri
-      (fun i e ->
+      (fun i (e, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%s"
-             (Json.escape (render_key e.e_name e.e_labels))
-             (render e.e_value)))
+          (Printf.sprintf "\"%s\":%s" (Json.escape (render_key e.e_name e.e_labels)) v))
       entries;
     Buffer.add_char buf '}'
   in
-  section "counters"
-    (fun e -> match e.e_value with C _ -> true | _ -> false)
-    (function C n -> string_of_int n | _ -> assert false);
+  section "counters" (function C n -> Some (string_of_int n) | _ -> None);
   Buffer.add_char buf ',';
-  section "fcounters"
-    (fun e -> match e.e_value with F _ -> true | _ -> false)
-    (function F x -> Json.of_float x | _ -> assert false);
+  section "fcounters" (function F x -> Some (Json.of_float x) | _ -> None);
   Buffer.add_char buf ',';
-  section "gauges"
-    (fun e -> match e.e_value with G _ -> true | _ -> false)
-    (function G x -> Json.of_float x | _ -> assert false);
+  section "gauges" (function G x -> Some (Json.of_float x) | _ -> None);
   Buffer.add_char buf ',';
-  section "histograms"
-    (fun e -> match e.e_value with H _ -> true | _ -> false)
-    (function
-      | H h ->
-          let floats a = String.concat "," (List.map Json.of_float (Array.to_list a)) in
-          let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
-          Printf.sprintf "{\"buckets\":[%s],\"counts\":[%s],\"sum\":%s,\"count\":%d}"
-            (floats h.buckets) (ints h.counts) (Json.of_float h.sum) h.count
-      | _ -> assert false);
+  section "histograms" (function
+    | H h ->
+        let floats a = String.concat "," (List.map Json.of_float (Array.to_list a)) in
+        let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+        Some
+          (Printf.sprintf "{\"buckets\":[%s],\"counts\":[%s],\"sum\":%s,\"count\":%d}"
+             (floats h.buckets) (ints h.counts) (Json.of_float h.sum) h.count)
+    | _ -> None);
   Buffer.add_char buf '}';
   Buffer.contents buf
-
-let write path =
-  let oc = open_out (path ^ ".tmp") in
-  output_string oc (to_json (snapshot ()));
-  close_out oc;
-  Sys.rename (path ^ ".tmp") path

@@ -170,27 +170,26 @@ let failpoint site =
 
 (* ---------------- enabling + exit dumps ---------------- *)
 
-let metrics_path = ref None
+let ledger_path = ref None
 let trace_path = ref None
 let exit_hook = ref false
 let trace_drops_published = ref false
 
 (** Write whatever outputs were configured (also runs automatically on
-    exit).  When profiling is on, the profiler's per-op/per-layer totals are
-    published into the registry first so they land in the snapshot; the
-    run-ledger emitter is stopped with one final enriched snapshot, and
-    any span events lost to the trace cap are published as
-    [obs.trace_events_dropped]. *)
+    exit).  The periodic emitter is stopped first, so the run ledger's
+    final enriched tick is its last line.  Before that tick, when
+    profiling is on, the profiler's per-op/per-layer totals are published
+    into the registry, and any span events lost to the trace cap are
+    published as [obs.trace_events_dropped]. *)
 let flush () =
+  Timeseries.stop ();
   if Profile.enabled () then Profile.publish ();
   (let d = Span.dropped_events () in
    if d > 0 && not !trace_drops_published then begin
      trace_drops_published := true;
      Metrics.add "obs.trace_events_dropped" d
    end);
-  Timeseries.enrich ();
-  Timeseries.stop ();
-  (match !metrics_path with Some p -> Metrics.write p | None -> ());
+  (match !ledger_path with Some path -> Timeseries.tick ~final:true ~path () | None -> ());
   match !trace_path with Some p -> Span.write p | None -> ()
 
 (* ---------------- postmortem dumps ---------------- *)
@@ -253,21 +252,20 @@ let falsy s =
     the environment — enable the corresponding subsystems, and arrange for
     the files to be written on exit.
 
-    - [metrics_out] / [LIGER_METRICS_OUT] and [trace_out] /
-      [LIGER_TRACE_OUT] name explicit output files; the truthy shorthands
-      [LIGER_METRICS=1] / [LIGER_TRACE=1] enable the same subsystems with
-      default paths under {!run_dir} ([metrics.json], [trace.json]).
-    - [profile] (or [LIGER_PROFILE=1]) turns on the model profiler, which
-      implies the metrics registry (that is where its totals are
-      published); without an explicit metrics path the snapshot lands in
-      the run directory.
-    - [metrics_every] (or [LIGER_METRICS_EVERY], seconds) starts the
-      {!Timeseries} run-ledger emitter appending to
-      [runs/<run-id>/metrics.jsonl].
-    - [dynamics] (or [LIGER_DYNAMICS=1]) turns on the {!Dynamics}
+    - Metrics are on when any of these is set: [metrics_out] /
+      [LIGER_METRICS_OUT], [LIGER_METRICS=1], [profile] /
+      [LIGER_PROFILE=1], [dynamics] / [LIGER_DYNAMICS=1], or
+      [metrics_every] / [LIGER_METRICS_EVERY].  A metrics-enabled run
+      writes one run ledger ({!Timeseries}): [metrics_out] names it,
+      otherwise it is [runs/<run-id>/metrics.jsonl].  The exit flush
+      appends the final snapshot; [metrics_every] (seconds) adds periodic
+      snapshots before it.
+    - [profile] turns on the model profiler (its totals are published
+      into the final snapshot); [dynamics] turns on the {!Dynamics}
       training-dynamics streams (per-layer gradient flow, saturation,
-      attention entropy, embedding drift), which imply the metrics
-      registry.
+      attention entropy, embedding drift).
+    - [trace_out] / [LIGER_TRACE_OUT] names a Chrome trace file;
+      [LIGER_TRACE=1] writes [runs/<run-id>/trace.json].
     - The {!Recorder} flight ring turns on whenever any of the above is
       configured, or explicitly via [LIGER_FLIGHT=1]; [LIGER_FLIGHT=0]
       forces it off.  With the recorder on, crash handlers arrange a
@@ -278,37 +276,10 @@ let falsy s =
 let init ?metrics_out ?trace_out ?metrics_every ?(profile = false) ?(dynamics = false) () =
   let pick arg env = match arg with Some _ as p -> p | None -> Sys.getenv_opt env in
   let env_truthy env = match Sys.getenv_opt env with Some s -> truthy s | None -> false in
-  (if dynamics || env_truthy "LIGER_DYNAMICS" then begin
-     Dynamics.enable ();
-     Metrics.enable ();
-     if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
-   end);
-  (match pick metrics_out "LIGER_METRICS_OUT" with
-  | Some p ->
-      metrics_path := Some p;
-      Metrics.enable ()
-  | None -> ());
-  (match pick trace_out "LIGER_TRACE_OUT" with
-  | Some p ->
-      trace_path := Some p;
-      Span.enable ()
-  | None -> ());
-  (if env_truthy "LIGER_METRICS" then begin
-     Metrics.enable ();
-     if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
-   end);
-  (if env_truthy "LIGER_TRACE" then begin
-     Span.enable ();
-     if !trace_path = None then trace_path := Some (in_run_dir "trace.json")
-   end);
-  (if profile || env_truthy "LIGER_PROFILE" then begin
-     Profile.enable ();
-     Metrics.enable ();
-     if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json")
-   end);
   let every =
     match metrics_every with
-    | Some _ as e -> e
+    | Some e when e > 0.0 -> Some e
+    | Some _ -> None
     | None -> (
         match Sys.getenv_opt "LIGER_METRICS_EVERY" with
         | None -> None
@@ -319,22 +290,37 @@ let init ?metrics_out ?trace_out ?metrics_every ?(profile = false) ?(dynamics = 
                 Printf.eprintf "liger: ignoring LIGER_METRICS_EVERY=%S (expected seconds > 0)\n%!" s;
                 None))
   in
-  (match every with
-  | Some e when e > 0.0 ->
+  if dynamics || env_truthy "LIGER_DYNAMICS" then Dynamics.enable ();
+  if profile || env_truthy "LIGER_PROFILE" then Profile.enable ();
+  let metrics_out = pick metrics_out "LIGER_METRICS_OUT" in
+  (match metrics_out with
+  | Some p -> ledger_path := Some p
+  | None ->
+      if
+        !ledger_path = None
+        && (env_truthy "LIGER_METRICS" || Dynamics.on () || Profile.enabled () || every <> None)
+      then ledger_path := Some (in_run_dir "metrics.jsonl"));
+  (match !ledger_path with
+  | Some path ->
       Metrics.enable ();
-      if !metrics_path = None then metrics_path := Some (in_run_dir "metrics.json");
-      Timeseries.start ~every:e ~path:(in_run_dir "metrics.jsonl")
-  | _ -> ());
-  let any_configured =
-    !metrics_path <> None || !trace_path <> None || Metrics.enabled () || Span.enabled ()
-    || Profile.enabled ()
-  in
+      Option.iter (fun every -> Timeseries.start ~every ~path) every
+  | None -> ());
+  (match pick trace_out "LIGER_TRACE_OUT" with
+  | Some p ->
+      trace_path := Some p;
+      Span.enable ()
+  | None -> ());
+  (if env_truthy "LIGER_TRACE" then begin
+     Span.enable ();
+     if !trace_path = None then trace_path := Some (in_run_dir "trace.json")
+   end);
+  let any_configured = !ledger_path <> None || !trace_path <> None in
   (match Sys.getenv_opt "LIGER_FLIGHT" with
   | Some s when truthy s -> Recorder.enable ()
   | Some s when falsy s -> Recorder.disable ()
   | _ -> if any_configured then Recorder.enable ());
   if Recorder.enabled () then install_crash_handlers ();
-  if (!metrics_path <> None || !trace_path <> None) && not !exit_hook then begin
+  if any_configured && not !exit_hook then begin
     exit_hook := true;
     at_exit flush
   end
@@ -520,201 +506,197 @@ let report () =
 
 let print_report () = if enabled () then prerr_string (report ())
 
-(* ---------------- readers for [liger stats] ---------------- *)
+(* ---------------- the one reader ---------------- *)
+
+(** What a telemetry file holds.  [liger stats] (summary, [--validate],
+    [--openmetrics], [--diff]), [liger top] and [liger report] all get it
+    from {!read}, so they agree on what is valid. *)
+type file =
+  | Ledger of Json.t list  (** run-ledger snapshots, oldest first; [[]] before the first tick *)
+  | Postmortem of Json.t
+  | Trace of Json.t
+  | History of Bench_store.record list
 
 let is_trace json = Json.member "traceEvents" json <> None
 let is_postmortem json = Json.member "postmortem" json = Some (Json.Bool true)
 
-(** Structural validation of a telemetry file: well-formed JSON, and for
-    traces every event must be a complete "X" event with a duration (or a
-    matched "B"/"E" pair).  Returns a one-line summary. *)
-let rec validate_json json =
-  if is_postmortem json then begin
-    let reason =
-      Option.value ~default:"?" (Option.bind (Json.member "reason" json) Json.to_string)
-    in
-    match Option.bind (Json.member "events" json) Json.to_list with
-    | None -> Error "postmortem without an events array"
-    | Some events -> (
-        let bad_event ev =
-          let has name f = Option.bind (Json.member name ev) f <> None in
-          not
-            (has "seq" Json.to_float && has "ts" Json.to_float && has "kind" Json.to_string
-            && has "name" Json.to_string)
-        in
-        if List.exists bad_event events then
-          Error "postmortem event missing seq/ts/kind/name"
-        else
-          match Json.member "metrics" json with
-          | None -> Error "postmortem without a final metrics snapshot"
-          | Some m -> (
-              match validate_json m with
-              | Error msg -> Error ("postmortem metrics: " ^ msg)
-              | Ok _ ->
-                  Ok
-                    (Printf.sprintf "postmortem with %d events (reason: %s)"
-                       (List.length events) reason)))
-  end
-  else if is_trace json then begin
-    match Option.bind (Json.member "traceEvents" json) Json.to_list with
-    | None -> Error "traceEvents is not an array"
-    | Some events ->
-        let begins : (string * float, int) Hashtbl.t = Hashtbl.create 16 in
-        let bump key d =
-          Hashtbl.replace begins key (d + Option.value ~default:0 (Hashtbl.find_opt begins key))
-        in
-        let check ev =
-          let str name = Option.bind (Json.member name ev) Json.to_string in
-          let num name = Option.bind (Json.member name ev) Json.to_float in
-          match (str "ph", str "name", num "ts", num "tid") with
-          | Some "X", Some _, Some _, _ ->
-              if num "dur" = None then Error "X event without dur" else Ok ()
-          | Some "B", Some name, Some _, Some tid ->
-              bump (name, tid) 1;
-              Ok ()
-          | Some "E", Some name, Some _, Some tid ->
-              bump (name, tid) (-1);
-              Ok ()
-          | Some ("M" | "I" | "C"), _, _, _ -> Ok ()
-          | Some ph, _, _, _ -> Error (Printf.sprintf "unsupported event ph %S" ph)
-          | None, _, _, _ -> Error "event without ph"
-        in
-        let rec go = function
-          | [] ->
-              if Hashtbl.fold (fun _ d acc -> acc || d <> 0) begins false then
-                Error "unmatched B/E events"
-              else Ok (Printf.sprintf "trace with %d events" (List.length events))
-          | ev :: rest -> ( match check ev with Ok () -> go rest | Error _ as e -> e)
-        in
-        go events
-  end
+let section_keys json section =
+  match Json.member section json with Some (Json.Obj kvs) -> List.map fst kvs | _ -> []
+
+(* the profile section of a snapshot: the label suffixes ("{op=...}") of
+   its op counters and of its layer call counters *)
+let profile_section json =
+  let counters = section_keys json "counters" in
+  let suffixes prefix =
+    let lp = String.length prefix in
+    List.filter_map
+      (fun k ->
+        if String.length k > lp && String.starts_with ~prefix k then
+          Some (String.sub k lp (String.length k - lp))
+        else None)
+      counters
+  in
+  (suffixes "profile.op_count", suffixes "profile.layer_calls")
+
+(* The full snapshot check: a counters section, and a whole profile
+   section.  Every profile.op_count{op=X} needs its profile.op_flops{op=X},
+   every profile.layer_calls{layer=X} its forward and backward seconds; a
+   snapshot that fails this was not produced by Profile.publish. *)
+let check_snapshot json =
+  if Json.member "counters" json = None then Error "not a metrics snapshot (no counters)"
   else
-    match Json.member "counters" json with
-    | Some _ -> (
-        let keys section =
-          match Json.member section json with
-          | Some (Json.Obj kvs) -> List.map fst kvs
-          | _ -> []
-        in
-        let count section = List.length (keys section) in
-        let counters = keys "counters" and fcounters = keys "fcounters" in
-        (* profile cross-check: every profile.op_count{op=X} needs matching
-           profile.op_flops{op=X}, every profile.layer_calls{layer=X} needs
-           forward and backward seconds — a snapshot that fails this was not
-           produced by Profile.publish *)
-        let with_prefix prefix l =
-          List.filter_map
-            (fun k ->
-              let lp = String.length prefix in
-              if String.length k > lp && String.sub k 0 lp = prefix then
-                Some (String.sub k lp (String.length k - lp))
-              else None)
-            l
-        in
-        let op_suffixes = with_prefix "profile.op_count" counters in
-        let layer_suffixes = with_prefix "profile.layer_calls" counters in
-        let missing =
-          List.filter_map
-            (fun sfx ->
-              if List.mem ("profile.op_flops" ^ sfx) fcounters then None
-              else Some ("profile.op_flops" ^ sfx))
-            op_suffixes
-          @ List.concat_map
-              (fun sfx ->
-                List.filter_map
-                  (fun name ->
-                    if List.mem (name ^ sfx) fcounters then None else Some (name ^ sfx))
-                  [ "profile.layer_forward_seconds"; "profile.layer_backward_seconds" ])
-              layer_suffixes
-        in
-        match missing with
-        | m :: _ -> Error (Printf.sprintf "profile section incomplete: missing %s" m)
+    let fcounters = section_keys json "fcounters" in
+    let ops, layers = profile_section json in
+    let needed =
+      List.map (( ^ ) "profile.op_flops") ops
+      @ List.concat_map
+          (fun sfx ->
+            [ "profile.layer_forward_seconds" ^ sfx; "profile.layer_backward_seconds" ^ sfx ])
+          layers
+    in
+    match List.find_opt (fun k -> not (List.mem k fcounters)) needed with
+    | Some k -> Error ("profile section incomplete: missing " ^ k)
+    | None -> Ok ()
+
+let check_ledger_line json =
+  if Json.member "ts" json = None then Error "ledger line without ts" else check_snapshot json
+
+let events json name = Option.value ~default:[] (Option.bind (Json.member name json) Json.to_list)
+
+let check_postmortem json =
+  let complete ev =
+    let has name f = Option.bind (Json.member name ev) f <> None in
+    has "seq" Json.to_float && has "ts" Json.to_float && has "kind" Json.to_string
+    && has "name" Json.to_string
+  in
+  match Option.bind (Json.member "events" json) Json.to_list with
+  | None -> Error "postmortem without an events array"
+  | Some evs when not (List.for_all complete evs) -> Error "postmortem event missing seq/ts/kind/name"
+  | Some _ -> (
+      match Json.member "metrics" json with
+      | None -> Error "postmortem without a final metrics snapshot"
+      | Some m -> Result.map_error (( ^ ) "postmortem metrics: ") (check_snapshot m))
+
+(* every event must be a complete "X" event with a duration, or part of a
+   matched "B"/"E" pair *)
+let check_trace json =
+  match Option.bind (Json.member "traceEvents" json) Json.to_list with
+  | None -> Error "traceEvents is not an array"
+  | Some evs ->
+      let begins : (string * float, int) Hashtbl.t = Hashtbl.create 16 in
+      let bump key d =
+        Hashtbl.replace begins key (d + Option.value ~default:0 (Hashtbl.find_opt begins key))
+      in
+      let check ev =
+        let str name = Option.bind (Json.member name ev) Json.to_string in
+        let num name = Option.bind (Json.member name ev) Json.to_float in
+        match (str "ph", str "name", num "ts", num "tid") with
+        | Some "X", Some _, Some _, _ ->
+            if num "dur" = None then Error "X event without dur" else Ok ()
+        | Some "B", Some name, Some _, Some tid ->
+            bump (name, tid) 1;
+            Ok ()
+        | Some "E", Some name, Some _, Some tid ->
+            bump (name, tid) (-1);
+            Ok ()
+        | Some ("M" | "I" | "C"), _, _, _ -> Ok ()
+        | Some ph, _, _, _ -> Error (Printf.sprintf "unsupported event ph %S" ph)
+        | None, _, _, _ -> Error "event without ph"
+      in
+      let rec go = function
         | [] ->
-            let profile =
-              if op_suffixes = [] && layer_suffixes = [] then ""
-              else
-                Printf.sprintf ", profile section (%d ops, %d layers)"
-                  (List.length op_suffixes) (List.length layer_suffixes)
-            in
-            Ok
-              (Printf.sprintf
-                 "metrics snapshot with %d counters, %d fcounters, %d gauges, %d histograms%s"
-                 (count "counters") (count "fcounters") (count "gauges") (count "histograms")
-                 profile))
-    | None -> Ok "well-formed JSON (unrecognized schema)"
-
-(* ---------------- run-ledger (JSONL) readers ---------------- *)
-
-(** Parse every non-empty line of a JSONL file. *)
-let jsonl_lines path : (Json.t list, string) result =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | l :: rest when String.trim l = "" -> go (i + 1) acc rest
-        | l :: rest -> (
-            match Json.parse l with
-            | Ok j -> go (i + 1) (j :: acc) rest
-            | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
+            if Hashtbl.fold (fun _ d acc -> acc || d <> 0) begins false then
+              Error "unmatched B/E events"
+            else Ok ()
+        | ev :: rest -> ( match check ev with Ok () -> go rest | Error _ as e -> e)
       in
-      go 1 [] (List.rev !lines)
+      go evs
 
-let validate_ledger path =
-  match jsonl_lines path with
-  | Error msg -> Error msg
-  | Ok [] -> Error "empty run ledger"
-  | Ok lines ->
-      if
-        List.for_all
-          (fun l -> Json.member "ts" l <> None && Json.member "counters" l <> None)
-          lines
-      then Ok (Printf.sprintf "run ledger with %d snapshots" (List.length lines))
-      else Error "ledger line missing ts/counters"
-
-let validate_file path =
-  match Json.parse_file path with
-  | Error msg -> (
-      (* not one JSON document — maybe a JSONL run ledger *)
-      match validate_ledger path with
-      | Ok summary -> Ok summary
-      | Error _ -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg))
-  | Ok json -> (
-      match validate_json json with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok summary -> Ok summary)
-
-(** The last snapshot of [path] — a metrics JSON file, or the final line
-    of a JSONL run ledger. *)
-let last_snapshot_json path : (Json.t, string) result =
-  match Json.parse_file path with
-  | Ok json -> Ok json
-  | Error msg -> (
-      match jsonl_lines path with
-      | Ok (_ :: _ as lines) -> Ok (List.nth lines (List.length lines - 1))
-      | Ok [] -> Error (Printf.sprintf "%s: empty run ledger" path)
-      | Error _ -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg))
-
-(** [path] rendered in OpenMetrics exposition format ([liger stats
-    --openmetrics]); for a run ledger the last snapshot is rendered. *)
-let openmetrics_file path : (string, string) result =
-  match last_snapshot_json path with
+(** Read and check one telemetry file.  A Chrome trace or a postmortem
+    is one JSON document.  Anything else is JSONL (see
+    {!Json.parse_lines} for blank and torn lines): a {!Bench_store}
+    history when its first line is a benchmark record, otherwise a run
+    ledger, each of whose lines gets the full snapshot check.  Errors
+    name the file and, for JSONL, the line. *)
+let read path : (file, string) result =
+  let fail msg = Error (Printf.sprintf "%s: %s" path msg) in
+  let checked kind check j = match check j with Ok () -> Ok (kind j) | Error m -> fail m in
+  match Json.read_all path with
   | Error _ as e -> e
-  | Ok json -> (
-      let json =
-        if is_postmortem json then Option.value ~default:json (Json.member "metrics" json)
-        else json
-      in
-      match Openmetrics.render_json json with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  | Ok text -> (
+      let doc = Json.parse text in
+      match doc with
+      | Ok j when is_trace j -> checked (fun j -> Trace j) check_trace j
+      | Ok j when is_postmortem j -> checked (fun j -> Postmortem j) check_postmortem j
+      | _ -> (
+          match Json.parse_lines text with
+          | Error msg ->
+              fail
+                (if Result.is_ok doc then
+                   "a JSON document, but not a run ledger, postmortem, Chrome trace or \
+                    benchmark history"
+                 else msg)
+          | Ok ((_, first) :: _ as lines) when Json.member "benchmark" first <> None -> (
+              match Bench_store.records_of_lines lines with
+              | Ok rs -> Ok (History rs)
+              | Error msg -> fail msg)
+          | Ok lines -> (
+              let bad (i, j) =
+                match check_ledger_line j with
+                | Ok () -> None
+                | Error msg -> Some (Printf.sprintf "line %d: %s" i msg)
+              in
+              match List.find_map bad lines with
+              | Some msg -> fail msg
+              | None -> Ok (Ledger (List.map snd lines)))))
+
+let last l = List.nth l (List.length l - 1)
+let empty_ledger path = Printf.sprintf "%s: empty run ledger" path
+
+(* ---------------- [liger stats]: validate, summarize, openmetrics ---------------- *)
+
+let describe_snapshot json =
+  let n section = List.length (section_keys json section) in
+  let ops, layers = profile_section json in
+  Printf.sprintf "%d counters, %d fcounters, %d gauges, %d histograms%s" (n "counters")
+    (n "fcounters") (n "gauges") (n "histograms")
+    (if ops = [] && layers = [] then ""
+     else
+       Printf.sprintf ", profile section (%d ops, %d layers)" (List.length ops)
+         (List.length layers))
+
+let str_member json name =
+  Option.value ~default:"?" (Option.bind (Json.member name json) Json.to_string)
+
+(** [liger stats --validate]: {!read}'s checks, as a one-line summary. *)
+let validate_file path =
+  match read path with
+  | Error _ as e -> e
+  | Ok (Ledger []) -> Error (empty_ledger path)
+  | Ok (Ledger lines) ->
+      Ok
+        (Printf.sprintf "run ledger with %d snapshots; last: %s" (List.length lines)
+           (describe_snapshot (last lines)))
+  | Ok (Postmortem j) ->
+      Ok
+        (Printf.sprintf "postmortem with %d events (reason: %s)"
+           (List.length (events j "events")) (str_member j "reason"))
+  | Ok (Trace j) -> Ok (Printf.sprintf "trace with %d events" (List.length (events j "traceEvents")))
+  | Ok (History rs) -> Ok (Printf.sprintf "benchmark history with %d records" (List.length rs))
+
+(** [path]'s final metrics snapshot (a ledger's last line, a postmortem's
+    embedded snapshot) in OpenMetrics exposition format ([liger stats
+    --openmetrics]). *)
+let openmetrics_file path : (string, string) result =
+  let render json =
+    Result.map_error (Printf.sprintf "%s: %s" path) (Openmetrics.render_json json)
+  in
+  match read path with
+  | Error _ as e -> e
+  | Ok (Ledger []) -> Error (empty_ledger path)
+  | Ok (Ledger lines) -> render (last lines)
+  | Ok (Postmortem j) -> render (Option.get (Json.member "metrics" j))
+  | Ok (Trace _ | History _) -> Error (Printf.sprintf "%s: holds no metrics snapshot" path)
 
 let buf_metric_sections buf json =
   let section title kind render =
@@ -745,163 +727,147 @@ let buf_metric_sections buf json =
   section "gauges" "gauges" scalar;
   section "histograms" "histograms" hist
 
-(** Pretty-print a metrics snapshot, run ledger, postmortem dump, or
-    trace file. *)
-let summarize_file path =
-  match last_snapshot_json path with
-  | Error msg -> Error msg
-  | Ok json when is_postmortem json ->
-      let buf = Buffer.create 1024 in
-      let reason =
-        Option.value ~default:"?" (Option.bind (Json.member "reason" json) Json.to_string)
-      in
-      let events = Option.value ~default:[] (Option.bind (Json.member "events" json) Json.to_list) in
-      Buffer.add_string buf
-        (Printf.sprintf "%s: postmortem (%s), %d surviving events\n" path reason
-           (List.length events));
-      let tail = List.filteri (fun i _ -> i >= List.length events - 15) events in
-      List.iter
-        (fun ev ->
-          let str name = Option.value ~default:"?" (Option.bind (Json.member name ev) Json.to_string) in
-          let num name = Option.value ~default:0.0 (Option.bind (Json.member name ev) Json.to_float) in
-          let detail = str "detail" in
-          Buffer.add_string buf
-            (Printf.sprintf "  #%-6.0f d%d %-5s %s%s\n" (num "seq")
-               (int_of_float (num "domain")) (str "kind") (str "name")
-               (if detail = "" || detail = "?" then "" else " — " ^ detail)))
-        tail;
-      (match Json.member "metrics" json with
-      | Some m ->
-          Buffer.add_string buf "final snapshot:\n";
-          buf_metric_sections buf m
-      | None -> ());
-      Ok (Buffer.contents buf)
-  | Ok json ->
-      let buf = Buffer.create 1024 in
-      if is_trace json then begin
-        let events =
-          Option.value ~default:[] (Option.bind (Json.member "traceEvents" json) Json.to_list)
-        in
-        let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 32 in
-        List.iter
-          (fun ev ->
-            match
-              ( Option.bind (Json.member "name" ev) Json.to_string,
-                Option.bind (Json.member "dur" ev) Json.to_float )
-            with
-            | Some name, Some dur ->
-                let count, total =
-                  match Hashtbl.find_opt tbl name with
-                  | Some cell -> cell
-                  | None ->
-                      let cell = (ref 0, ref 0.0) in
-                      Hashtbl.add tbl name cell;
-                      cell
-                in
-                incr count;
-                total := !total +. dur
-            | _ -> ())
-          events;
-        Buffer.add_string buf
-          (Printf.sprintf "%s: %d span events (open in chrome://tracing or ui.perfetto.dev)\n"
-             path (List.length events));
-        let rows =
-          Hashtbl.fold (fun name (c, t) acc -> (name, !c, !t /. 1e6) :: acc) tbl []
-          |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-          |> List.filteri (fun i _ -> i < 15)
-        in
-        buf_table buf
-          ([ "span"; "count"; "total s" ]
-          :: List.map
-               (fun (name, c, t) -> [ name; string_of_int c; Printf.sprintf "%.3f" t ])
-               rows)
-      end
-      else begin
-        (if Json.member "ts" json <> None then
-           Buffer.add_string buf (Printf.sprintf "%s: run ledger (last snapshot)\n" path)
-         else Buffer.add_string buf (Printf.sprintf "%s: metrics snapshot\n" path));
-        buf_metric_sections buf json
-      end;
-      Ok (Buffer.contents buf)
-
-(* ---------------- flat views + diffing ([liger stats --diff]) ---------------- *)
-
-(** A metrics snapshot / flat bench JSON / history record as one flat
-    name→number map, the common currency of {!Bench_store.diff}.
-    Histograms contribute [name.sum] and [name.count]; booleans become
-    0/1. *)
-let flatten_json (json : Json.t) : ((string * float) list, string) result =
-  if is_trace json then Error "trace files cannot be diffed (no scalar metrics)"
-  else if Json.member "counters" json <> None then begin
-    let nums section suffixes =
-      match Json.member section json with
-      | Some (Json.Obj kvs) ->
-          List.concat_map
-            (fun (k, v) ->
-              match suffixes with
-              | [] -> ( match Json.to_float v with Some f -> [ (k, f) ] | None -> [])
-              | sfx ->
-                  List.filter_map
-                    (fun s ->
-                      Option.map (fun f -> (k ^ "." ^ s, f)) (Option.bind (Json.member s v) Json.to_float))
-                    sfx)
-            kvs
-      | _ -> []
-    in
-    Ok
-      (nums "counters" [] @ nums "fcounters" [] @ nums "gauges" []
-      @ nums "histograms" [ "sum"; "count" ]
-      |> List.sort compare)
-  end
-  else if Json.member "benchmark" json <> None && Json.member "metrics" json <> None then
-    (* a single Bench_store record pasted as a plain JSON file *)
-    match Bench_store.parse_record json with
-    | Ok r -> Ok r.Bench_store.metrics
-    | Error msg -> Error msg
-  else
-    match json with
-    | Json.Obj fields ->
-        let nums =
-          List.filter_map
-            (fun (k, v) ->
-              match v with
-              | Json.Num f -> Some (k, f)
-              | Json.Bool b -> Some (k, if b then 1.0 else 0.0)
-              | _ -> None)
-            fields
-        in
-        if nums = [] then Error "no numeric fields to diff" else Ok nums
-    | _ -> Error "not a JSON object"
-
 let record_label path (r : Bench_store.record) =
   Printf.sprintf "%s [%s %s@%s jobs=%d]" path r.Bench_store.benchmark r.Bench_store.date
     r.Bench_store.rev r.Bench_store.jobs
 
-(** Load [path] as a flat metric map plus a human label: a JSON snapshot /
-    flat bench file directly, or — when the file is JSONL — the last record
-    of a {!Bench_store} history. *)
-let load_flat path : ((string * float) list * string, string) result =
-  match Json.parse_file path with
-  | Ok json -> (
-      match flatten_json json with
-      | Ok flat -> Ok (flat, path)
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  | Error json_msg -> (
-      match Bench_store.load path with
-      | Ok [] -> Error (Printf.sprintf "%s: empty history" path)
-      | Ok records ->
-          let r = List.nth records (List.length records - 1) in
-          Ok (r.Bench_store.metrics, record_label path r)
-      | Error _ -> Error (Printf.sprintf "%s: invalid JSON: %s" path json_msg))
+(** Pretty-print a run ledger (its last snapshot), postmortem dump,
+    trace or benchmark history (its last record). *)
+let summarize_file path =
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  match read path with
+  | Error _ as e -> e
+  | Ok (Ledger []) -> Error (empty_ledger path)
+  | Ok (Ledger lines) ->
+      let final = last lines in
+      line "%s: run ledger, %d snapshots, %s" path (List.length lines)
+        (if Json.member "final" final = Some (Json.Bool true) then "ends with the exit tick"
+         else "no exit tick yet (still running, or killed)");
+      buf_metric_sections buf final;
+      Ok (Buffer.contents buf)
+  | Ok (Postmortem j) ->
+      let evs = events j "events" in
+      line "%s: postmortem (%s), %d surviving events" path (str_member j "reason")
+        (List.length evs);
+      List.iteri
+        (fun i ev ->
+          let num name =
+            Option.value ~default:0.0 (Option.bind (Json.member name ev) Json.to_float)
+          in
+          let detail = str_member ev "detail" in
+          if i >= List.length evs - 15 then
+            line "  #%-6.0f d%d %-5s %s%s" (num "seq") (int_of_float (num "domain"))
+              (str_member ev "kind") (str_member ev "name")
+              (if detail = "" || detail = "?" then "" else " — " ^ detail))
+        evs;
+      line "final snapshot:";
+      buf_metric_sections buf (Option.get (Json.member "metrics" j));
+      Ok (Buffer.contents buf)
+  | Ok (Trace j) ->
+      let evs = events j "traceEvents" in
+      let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 32 in
+      List.iter
+        (fun ev ->
+          match
+            (Option.bind (Json.member "name" ev) Json.to_string,
+             Option.bind (Json.member "dur" ev) Json.to_float)
+          with
+          | Some name, Some dur ->
+              let count, total =
+                match Hashtbl.find_opt tbl name with
+                | Some cell -> cell
+                | None ->
+                    let cell = (ref 0, ref 0.0) in
+                    Hashtbl.add tbl name cell;
+                    cell
+              in
+              incr count;
+              total := !total +. dur
+          | _ -> ())
+        evs;
+      line "%s: %d span events (open in chrome://tracing or ui.perfetto.dev)" path
+        (List.length evs);
+      let rows =
+        Hashtbl.fold (fun name (c, t) acc -> (name, !c, !t /. 1e6) :: acc) tbl []
+        |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+        |> List.filteri (fun i _ -> i < 15)
+      in
+      buf_table buf
+        ([ "span"; "count"; "total s" ]
+        :: List.map (fun (name, c, t) -> [ name; string_of_int c; Printf.sprintf "%.3f" t ]) rows);
+      Ok (Buffer.contents buf)
+  | Ok (History rs) ->
+      let r = last rs in
+      line "%s: benchmark history, %d records; last %s" path (List.length rs)
+        (record_label path r);
+      List.iter (fun (k, v) -> line "  %-48s %g" k v) r.Bench_store.metrics;
+      Ok (Buffer.contents buf)
 
-(** [diff_files a b] renders the threshold-flagged delta table between two
-    snapshots (each a metrics JSON, flat bench JSON, or JSONL history whose
-    last record is used). *)
+(* ---------------- [liger stats --diff] ---------------- *)
+
+(* a metrics snapshot as one flat name -> number map, the common currency
+   of Bench_store.diff; histograms contribute name.sum and name.count *)
+let flatten_snapshot json =
+  let nums section suffixes =
+    match Json.member section json with
+    | Some (Json.Obj kvs) ->
+        List.concat_map
+          (fun (k, v) ->
+            match suffixes with
+            | [] -> Option.to_list (Option.map (fun f -> (k, f)) (Json.to_float v))
+            | sfx ->
+                List.filter_map
+                  (fun s ->
+                    Option.map (fun f -> (k ^ "." ^ s, f)) (Option.bind (Json.member s v) Json.to_float))
+                  sfx)
+          kvs
+    | _ -> []
+  in
+  nums "counters" [] @ nums "fcounters" [] @ nums "gauges" [] @ nums "histograms" [ "sum"; "count" ]
+  |> List.sort compare
+
+(* every snapshot or record of [path], oldest first, as (label, flat map) *)
+let flat_records path =
+  let snapshot j =
+    ( (match Option.bind (Json.member "seq" j) Json.to_float with
+      | Some seq -> Printf.sprintf "%s [snapshot #%.0f]" path seq
+      | None -> path),
+      flatten_snapshot j )
+  in
+  match read path with
+  | Error _ as e -> e
+  | Ok (Ledger lines) -> Ok (List.map snapshot lines)
+  | Ok (Postmortem j) -> Ok [ (path ^ " [postmortem]", flatten_snapshot (Option.get (Json.member "metrics" j))) ]
+  | Ok (History rs) -> Ok (List.map (fun r -> (record_label path r, r.Bench_store.metrics)) rs)
+  | Ok (Trace _) -> Error (Printf.sprintf "%s: trace files cannot be diffed (no scalar metrics)" path)
+
+let render_diff ?threshold (la, fa) (lb, fb) =
+  Printf.sprintf "diff: %s -> %s\n%s" la lb (Bench_store.render_diff ?threshold fa fb)
+
+(** [diff_files a b] renders the threshold-flagged delta table between the
+    last snapshot or record of [a] and that of [b]. *)
 let diff_files ?threshold a b =
-  match (load_flat a, load_flat b) with
-  | Ok (fa, la), Ok (fb, lb) ->
-      Ok (Printf.sprintf "diff: %s -> %s\n%s" la lb (Bench_store.render_diff ?threshold fa fb))
+  let final path =
+    Result.bind (flat_records path) (function
+      | [] -> Error (empty_ledger path)
+      | rs -> Ok (last rs))
+  in
+  match (final a, final b) with
+  | Ok fa, Ok fb -> Ok (render_diff ?threshold fa fb)
   | (Error _ as e), _ | _, (Error _ as e) -> e
+
+(** [diff_history path] compares the last two snapshots or records of one
+    JSONL file. *)
+let diff_history ?threshold path =
+  match flat_records path with
+  | Error _ as e -> e
+  | Ok rs when List.length rs < 2 ->
+      Error
+        (Printf.sprintf "%s: need at least 2 records to diff (found %d)" path (List.length rs))
+  | Ok rs ->
+      let n = List.length rs in
+      Ok (render_diff ?threshold (List.nth rs (n - 2)) (List.nth rs (n - 1)))
 
 (* ---------------- [liger top] ---------------- *)
 
@@ -1097,41 +1063,33 @@ let render_top ?prev ?health ~source cur : (string, string) result =
 let no_ledger_hint () =
   Printf.sprintf
     "expected layout: %s/<run-id>/metrics.jsonl (one JSON snapshot per line)\n\
-     start an instrumented run with --metrics-every SECONDS (or \
-     LIGER_METRICS_EVERY=SECONDS), e.g.\n\
+     start a run with metrics on (LIGER_METRICS=1, --profile, --dynamics, or \
+     --metrics-every SECONDS for periodic snapshots), e.g.\n\
     \  liger train -n 60 --epochs 8 --batch 16 --metrics-every 1 --dynamics"
     (runs_root ())
 
 let empty_ledger_hint path =
   Printf.sprintf
-    "%s exists but holds no snapshots yet: the emitter appends the first line one \
+    "%s\n%s holds no complete snapshot yet: the emitter appends the first line one \
      interval after startup and a final line when the run exits.  Use a smaller \
      --metrics-every, or wait for the run to finish."
-    path
+    (empty_ledger path) path
+
+(* the snapshots of the run ledger at [path], for top and report *)
+let ledger_lines path =
+  match read path with
+  | Error msg -> Error (Printf.sprintf "%s\n%s" msg (no_ledger_hint ()))
+  | Ok (Ledger []) -> Error (empty_ledger_hint path)
+  | Ok (Ledger lines) -> Ok lines
+  | Ok _ -> Error (Printf.sprintf "%s: not a run ledger\n%s" path (no_ledger_hint ()))
 
 (** One [liger top] frame for the ledger at [path]. *)
 let top_frame path : (string, string) result =
-  match jsonl_lines path with
-  | Error msg -> Error (Printf.sprintf "%s: %s\n%s" path msg (no_ledger_hint ()))
-  | Ok [] -> Error (Printf.sprintf "%s: empty run ledger\n%s" path (empty_ledger_hint path))
-  | Ok lines ->
-      let n = List.length lines in
-      let cur = List.nth lines (n - 1) in
-      let prev = if n >= 2 then Some (List.nth lines (n - 2)) else None in
-      render_top ?prev ~health:(Health.evaluate lines) ~source:path cur
+  Result.bind (ledger_lines path) (fun lines ->
+      let prev = match List.rev lines with _ :: p :: _ -> Some p | _ -> None in
+      render_top ?prev ~health:(Health.evaluate lines) ~source:path (last lines))
 
 (* ---------------- [liger report] ---------------- *)
-
-let read_file_opt path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> Some s
-          | exception End_of_file -> None)
 
 (** Resolve a [liger report]/[liger top] run argument to a run directory:
     an explicit path, a run id under {!runs_root}, or — when absent — the
@@ -1156,69 +1114,35 @@ let resolve_run_dir arg : (string, string) result =
                (no_ledger_hint ())))
 
 (** Load everything [liger report] renders for one run directory: the
-    ledger, the final metrics snapshot, the probe table, a postmortem if
-    the run crashed, and — when [bench_history] names a
-    [BENCH_history.jsonl] — the training records from it (most recent
-    last, capped at 8). *)
+    ledger, the probe table, a postmortem if the run crashed, and — when
+    [bench_history] names a [BENCH_history.jsonl] — the training records
+    from it (most recent last, capped at 8). *)
 let load_report_run ?bench_history dir : (Report_html.run, string) result =
-  let ledger = Filename.concat dir "metrics.jsonl" in
-  let lines = match jsonl_lines ledger with Ok ls -> ls | Error _ -> [] in
-  let final =
-    match Json.parse_file (Filename.concat dir "metrics.json") with
-    | Ok j -> Some j
-    | Error _ -> None
-  in
-  if lines = [] && final = None then
-    Error
-      (if Sys.file_exists ledger then
-         Printf.sprintf "%s: empty run ledger\n%s" ledger (empty_ledger_hint ledger)
-       else
-         Printf.sprintf "%s has neither metrics.jsonl nor metrics.json\n%s" dir
-           (no_ledger_hint ()))
-  else
-    let postmortem =
-      match Json.parse_file (Filename.concat dir "postmortem.json") with
-      | Ok j when is_postmortem j -> Some j
-      | _ -> None
-    in
-    let bench =
-      match bench_history with
-      | None -> []
-      | Some path -> (
-          match Bench_store.load path with
-          | Error _ -> []
-          | Ok records ->
-              let train =
-                List.filter
-                  (fun (r : Bench_store.record) ->
-                    String.length r.Bench_store.benchmark >= 6
-                    && String.sub r.Bench_store.benchmark 0 6 = "train.")
-                  records
-              in
-              let n = List.length train in
-              List.filteri (fun i _ -> i >= n - 8) train)
-    in
-    Ok
+  Result.map
+    (fun lines ->
+      let postmortem =
+        match read (Filename.concat dir "postmortem.json") with
+        | Ok (Postmortem j) -> Some j
+        | _ -> None
+      in
+      let bench =
+        match Option.map read bench_history with
+        | Some (Ok (History records)) ->
+            let train =
+              List.filter
+                (fun (r : Bench_store.record) ->
+                  String.starts_with ~prefix:"train." r.Bench_store.benchmark)
+                records
+            in
+            let n = List.length train in
+            List.filteri (fun i _ -> i >= n - 8) train
+        | _ -> []
+      in
       {
         Report_html.label = Filename.basename dir;
         lines;
-        final;
-        probe = read_file_opt (Filename.concat dir "probe_accuracy.txt");
+        probe = Result.to_option (Json.read_all (Filename.concat dir "probe_accuracy.txt"));
         postmortem;
         bench;
-      }
-
-(** [diff_history path] compares the last two records of one JSONL
-    history. *)
-let diff_history ?threshold path =
-  match Bench_store.load path with
-  | Error msg -> Error msg
-  | Ok records when List.length records < 2 ->
-      Error (Printf.sprintf "%s: need at least 2 records to diff (found %d)" path
-               (List.length records))
-  | Ok records ->
-      let n = List.length records in
-      let a = List.nth records (n - 2) and b = List.nth records (n - 1) in
-      Ok
-        (Printf.sprintf "diff: %s -> %s\n%s" (record_label path a) (record_label path b)
-           (Bench_store.render_diff ?threshold a.Bench_store.metrics b.Bench_store.metrics))
+      })
+    (ledger_lines (Filename.concat dir "metrics.jsonl"))

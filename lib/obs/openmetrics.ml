@@ -164,9 +164,8 @@ let render (snap : Metrics.snapshot) =
 
 (* ---------------- snapshots parsed back from files ---------------- *)
 
-(** Rebuild a {!Metrics.snapshot} from a parsed metrics file or
-    run-ledger line (the inverse of {!Metrics.to_json} /
-    [to_json_compact]). *)
+(** Rebuild a {!Metrics.snapshot} from a parsed run-ledger line (the
+    inverse of {!Metrics.to_line}). *)
 let snapshot_of_json (json : Json.t) : (Metrics.snapshot, string) result =
   match Json.member "counters" json with
   | None -> Error "not a metrics snapshot (no \"counters\" member)"

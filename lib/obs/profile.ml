@@ -334,34 +334,44 @@ let total_flops (s : snapshot) = List.fold_left (fun acc o -> acc +. o.flops) 0.
 (* ---------------- registry publication ---------------- *)
 
 (** Mirror the current snapshot into the {!Metrics} registry under the
-    [profile.] prefix.  Idempotent: previous [profile.] entries are dropped
-    first, so calling this from both [Obs.flush] and a report path is safe. *)
+    [profile.] prefix.  Idempotent: the new entries replace every previous
+    [profile.] entry in one step, so calling this from both [Obs.flush]
+    and a crash dump is safe, and a ledger tick taken meanwhile never
+    holds half a profile. *)
 let publish () =
   let s = snapshot () in
-  Metrics.reset_prefix "profile.";
-  List.iter
-    (fun (o : op_stat) ->
-      let labels = [ ("op", o.op_name) ] in
-      Metrics.add ~labels "profile.op_count" o.count;
-      Metrics.fadd ~labels "profile.op_flops" o.flops;
-      Metrics.fadd ~labels "profile.op_bytes" o.bytes;
-      if o.seconds > 0.0 then Metrics.fadd ~labels "profile.op_seconds" o.seconds)
-    s.ops;
-  List.iter
-    (fun (l : layer_stat) ->
-      let labels = [ ("layer", l.layer_name) ] in
-      Metrics.add ~labels "profile.layer_calls" l.calls;
-      Metrics.fadd ~labels "profile.layer_forward_seconds" l.fwd_total_s;
-      Metrics.fadd ~labels "profile.layer_forward_self_seconds" l.fwd_self_s;
-      Metrics.fadd ~labels "profile.layer_backward_seconds" l.bwd_s)
-    s.layers;
-  if s.untagged_bwd_s > 0.0 then
-    Metrics.fadd
-      ~labels:[ ("layer", "(untagged)") ]
-      "profile.layer_backward_seconds" s.untagged_bwd_s;
-  Metrics.gauge "profile.total_flops" (total_flops s);
-  Metrics.gauge "profile.live_bytes" (float_of_int s.snap_live_bytes);
-  Metrics.gauge "profile.peak_bytes" (float_of_int s.snap_peak_bytes)
+  let entry labels name value = { Metrics.e_name = name; e_labels = labels; e_value = value } in
+  let ops =
+    List.concat_map
+      (fun (o : op_stat) ->
+        let e = entry [ ("op", o.op_name) ] in
+        [ e "profile.op_count" (Metrics.C o.count);
+          e "profile.op_flops" (Metrics.F o.flops);
+          e "profile.op_bytes" (Metrics.F o.bytes) ]
+        @ if o.seconds > 0.0 then [ e "profile.op_seconds" (Metrics.F o.seconds) ] else [])
+      s.ops
+  in
+  let layers =
+    List.concat_map
+      (fun (l : layer_stat) ->
+        let e = entry [ ("layer", l.layer_name) ] in
+        [ e "profile.layer_calls" (Metrics.C l.calls);
+          e "profile.layer_forward_seconds" (Metrics.F l.fwd_total_s);
+          e "profile.layer_forward_self_seconds" (Metrics.F l.fwd_self_s);
+          e "profile.layer_backward_seconds" (Metrics.F l.bwd_s) ])
+      s.layers
+  in
+  let untagged =
+    if s.untagged_bwd_s > 0.0 then
+      [ entry [ ("layer", "(untagged)") ] "profile.layer_backward_seconds"
+          (Metrics.F s.untagged_bwd_s) ]
+    else []
+  in
+  Metrics.replace_prefix "profile."
+    (ops @ layers @ untagged
+    @ [ entry [] "profile.total_flops" (Metrics.G (total_flops s));
+        entry [] "profile.live_bytes" (Metrics.G (float_of_int s.snap_live_bytes));
+        entry [] "profile.peak_bytes" (Metrics.G (float_of_int s.snap_peak_bytes)) ])
 
 (* ---------------- resetting (tests) ---------------- *)
 

@@ -157,8 +157,8 @@ let dropped () =
 let kind_name = function Begin -> "begin" | End -> "end" | Note -> "note"
 
 (** The postmortem document: recorder contents plus a final metrics
-    snapshot, as JSON.  [run_id] labels which run directory the dump
-    belongs to. *)
+    snapshot (a ledger line without its ts/seq fields), as JSON.
+    [run_id] labels which run directory the dump belongs to. *)
 let to_json ?(run_id = "") ~reason () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -180,13 +180,7 @@ let to_json ?(run_id = "") ~reason () =
     (events ());
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf "  \"metrics\": ";
-  (* indent the embedded snapshot to keep the document readable *)
-  let snap = Metrics.to_json (Metrics.snapshot ()) in
-  String.iter
-    (fun c ->
-      Buffer.add_char buf c;
-      if c = '\n' then Buffer.add_string buf "  ")
-    (String.trim snap);
+  Buffer.add_string buf (Metrics.to_line (Metrics.snapshot ()));
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
 

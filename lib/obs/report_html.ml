@@ -18,7 +18,6 @@
 type run = {
   label : string;                  (* run id *)
   lines : Json.t list;             (* ledger snapshots, oldest first *)
-  final : Json.t option;           (* the final metrics.json snapshot *)
   probe : string option;           (* probe_accuracy.txt contents *)
   postmortem : Json.t option;      (* postmortem.json *)
   bench : Bench_store.record list; (* matching history records *)
@@ -172,13 +171,8 @@ let hist_bars (h : Metrics.hist_view) =
 
 (* ---------------- snapshot readers ---------------- *)
 
-(* the best snapshot to read point-in-time sections from: the final
-   metrics.json, else the last ledger line *)
-let final_snapshot run =
-  match run.final with
-  | Some j -> Some j
-  | None -> (
-      match List.rev run.lines with [] -> None | last :: _ -> Some last)
+(* point-in-time sections read the final snapshot: the last ledger line *)
+let final_snapshot run = match List.rev run.lines with [] -> None | last :: _ -> Some last
 
 let hist_of_json json key =
   let floats j = Option.map (List.filter_map Json.to_float) (Json.to_list j) in

@@ -1,12 +1,12 @@
 (** Periodic time-series snapshots of the {!Metrics} registry — the run
     ledger.
 
-    [start ~every ~path] spawns a background thread that appends one
-    compact JSON line per interval to [path] (a JSONL file under the run
-    directory, see {!Obs.run_dir}).  Every line is itself a valid
-    metrics snapshot plus ["ts"] / ["seq"] fields, so [liger stats
-    --validate] and the OpenMetrics renderer work on individual lines,
-    and [liger top] tails the file to compute per-interval deltas.
+    Every metrics-enabled run appends to one JSONL file, by default
+    [runs/<run-id>/metrics.jsonl] (see {!Obs.init}): one {!Metrics.to_line}
+    snapshot plus ["ts"] / ["seq"] fields per line.  [start ~every ~path]
+    spawns a background thread that appends a line per interval; the exit
+    flush appends the final line, marked ["final":true].  [liger stats],
+    [liger top] and [liger report] read the file through {!Obs.read}.
 
     Before each snapshot the registry is *enriched*: built-in OCaml GC
     gauges are published, then every registered enricher callback runs.
@@ -58,16 +58,18 @@ let enrich () =
 let emit_mutex = Mutex.create ()
 let seq = ref 0
 
-(** Append one enriched snapshot line to the ledger at [path]. *)
-let tick ~path () =
+(** Append one enriched snapshot line to the ledger at [path].  The exit
+    tick passes [~final:true], which marks its line ["final":true]: a
+    ledger whose last line carries it belongs to a run that exited. *)
+let tick ?(final = false) ~path () =
   enrich ();
   let snap = Metrics.snapshot () in
   Mutex.lock emit_mutex;
-  let line =
-    Metrics.to_json_compact
-      ~extra:[ ("ts", Json.of_float (Unix.gettimeofday ())); ("seq", string_of_int !seq) ]
-      snap
+  let extra =
+    [ ("ts", Json.of_float (Unix.gettimeofday ())); ("seq", string_of_int !seq) ]
+    @ if final then [ ("final", "true") ] else []
   in
+  let line = Metrics.to_line ~extra snap in
   incr seq;
   (match open_out_gen [ Open_append; Open_creat ] 0o644 path with
   | oc ->
@@ -80,16 +82,17 @@ let tick ~path () =
 (* ---------------- the background emitter ---------------- *)
 
 let stop_flag = Atomic.make false
-let running = ref None  (* interval, path *)
+let exited = Atomic.make true
+let ledger = Atomic.make ""  (* where the emitter appends *)
 
-let active () = !running <> None
+let active () = not (Atomic.get exited)
 
-let emitter_loop every path =
+let emitter_loop every =
   let slept = ref 0.0 in
   while not (Atomic.get stop_flag) do
     if !slept >= every then begin
       slept := 0.0;
-      tick ~path ()
+      tick ~path:(Atomic.get ledger) ()
     end
     else begin
       (* sleep in small increments so stop () takes effect promptly *)
@@ -97,25 +100,31 @@ let emitter_loop every path =
       Thread.delay d;
       slept := !slept +. d
     end
-  done
+  done;
+  Atomic.set exited true
 
-(** Start the periodic emitter (idempotent; the first call wins).
-    Implies an enabled metrics registry — there is nothing to snapshot
+(** Start the periodic emitter appending to [path].  The first call fixes
+    the interval; a later call only moves the ledger to [path].  Implies
+    an enabled metrics registry — there is nothing to snapshot
     otherwise. *)
 let start ~every ~path =
-  if not (active ()) && every > 0.0 then begin
+  Atomic.set ledger path;
+  if (not (active ())) && every > 0.0 then begin
     Metrics.enable ();
     Atomic.set stop_flag false;
-    running := Some (every, path);
-    ignore (Thread.create (fun () -> emitter_loop every path) ())
+    Atomic.set exited false;
+    ignore (Thread.create emitter_loop every)
   end
 
-(** Stop the emitter and append one final snapshot line (so the ledger
-    always ends with the run's terminal state). *)
+(** Stop the emitter and wait (at most a few seconds) for a tick in
+    progress to land, so no periodic line races what the caller writes
+    next.  The wait is bounded rather than a join: this can run inside a
+    signal handler that interrupted a thread the emitter waits on. *)
 let stop () =
-  match !running with
-  | None -> ()
-  | Some (_, path) ->
-      Atomic.set stop_flag true;
-      running := None;
-      tick ~path ()
+  if active () then begin
+    Atomic.set stop_flag true;
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while active () && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done
+  end

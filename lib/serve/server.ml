@@ -142,6 +142,10 @@ let accept_loop t =
   let rec go () =
     match Unix.accept t.listener with
     | client, _ ->
+        (* each answer is one write: send it now rather than let Nagle's
+           algorithm hold it for the ACK of the answer before, which a
+           pipelining client delays until its next request *)
+        (try Unix.setsockopt client Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         ignore (Thread.create (connection_loop t) client);
         go ()
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _) ->

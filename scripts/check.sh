@@ -27,16 +27,18 @@ echo "   ok: BENCH_parallel.json written, record appended to BENCH_history.jsonl
 
 # The profiled smoke does not append to the history: profiling overhead
 # would create alternating slow/fast records inside one run shape and
-# soften the throughput gate below.  No --metrics-out: the snapshot must
-# land in the run directory by default.
+# soften the throughput gate below.  No --metrics-out: the run ledger must
+# land in the run directory by default, ending with the exit tick.
 echo "== profiled batched train smoke: per-layer/per-op accounting validates"
 rm -rf runs/ci-profile
 LIGER_RUN_ID=ci-profile dune exec --no-build bin/liger_cli.exe -- \
   train -n 16 --epochs 3 --batch 16 --profile > /dev/null 2>&1
-dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-profile/metrics.json \
+dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-profile/metrics.jsonl \
   | grep -q "profile section" || {
-    echo "   ERROR: profile section missing from runs/ci-profile/metrics.json" >&2; exit 1; }
-echo "   ok: runs/ci-profile/metrics.json has a consistent profile section"
+    echo "   ERROR: profile section missing from runs/ci-profile/metrics.jsonl" >&2; exit 1; }
+tail -n 1 runs/ci-profile/metrics.jsonl | grep -q '"final":true' || {
+  echo "   ERROR: runs/ci-profile/metrics.jsonl does not end with the exit tick" >&2; exit 1; }
+echo "   ok: runs/ci-profile/metrics.jsonl has a consistent profile section on every line"
 
 echo "== benchmark history: unbatched baseline record"
 dune exec --no-build bin/liger_cli.exe -- train -n 16 --epochs 3 \
@@ -75,19 +77,22 @@ rm -rf runs/ci-obs
 LIGER_RUN_ID=ci-obs LIGER_TRACE=1 LIGER_METRICS=1 LIGER_JOBS=2 \
   dune exec --no-build bin/liger_cli.exe -- dataset -n 40 > /dev/null
 test -f runs/ci-obs/trace.json
-test -f runs/ci-obs/metrics.json
+test -f runs/ci-obs/metrics.jsonl
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-obs/trace.json
-dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-obs/metrics.json
-grep -q "symexec.paths_pruned_by_absint" runs/ci-obs/metrics.json || {
+dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-obs/metrics.jsonl
+tail -n 1 runs/ci-obs/metrics.jsonl | grep -q '"final":true' || {
+  echo "   ERROR: LIGER_METRICS=1 run left no exit tick in its ledger" >&2; exit 1; }
+grep -q "symexec.paths_pruned_by_absint" runs/ci-obs/metrics.jsonl || {
   echo "   ERROR: absint pruned no symbolic paths on the standard corpus" >&2; exit 1; }
-echo "   ok: runs/ci-obs/{trace,metrics}.json validate (absint pruning live)"
+echo "   ok: runs/ci-obs/trace.json and metrics.jsonl validate (absint pruning live)"
 
 echo "== run ledger smoke: 1s snapshots, OpenMetrics exposition, liger top"
 rm -rf runs/ci-ledger
 LIGER_RUN_ID=ci-ledger LIGER_METRICS_EVERY=1 dune exec --no-build bin/liger_cli.exe -- \
   train -n 16 --epochs 3 --batch 16 > /dev/null 2>&1
 test -f runs/ci-ledger/metrics.jsonl
-test -f runs/ci-ledger/metrics.json
+tail -n 1 runs/ci-ledger/metrics.jsonl | grep -q '"final":true' || {
+  echo "   ERROR: the ledger does not end with the exit tick" >&2; exit 1; }
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-ledger/metrics.jsonl
 dune exec --no-build bin/liger_cli.exe -- stats --validate --openmetrics runs/ci-ledger/metrics.jsonl
 grep -q "gc.minor_collections" runs/ci-ledger/metrics.jsonl || {
@@ -179,7 +184,7 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 test -f runs/ci-serve/metrics.jsonl || {
   echo "   ERROR: serve run left no ledger" >&2; exit 1; }
-test -f runs/ci-serve/metrics.json || {
+tail -n 1 runs/ci-serve/metrics.jsonl | grep -q '"final":true' || {
   echo "   ERROR: SIGTERM shutdown left no final ledger tick" >&2; exit 1; }
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-serve/metrics.jsonl
 echo "   ok: all endpoints answered; clean SIGTERM left the final ledger tick"

@@ -1,7 +1,8 @@
 (* The observability layer: histogram bucket boundaries and quantile
    estimates, registry totals independent of the pool size, span nesting and
    self-time accounting, the Chrome trace_event export (golden structure:
-   parseable JSON, complete "X" events), metrics snapshot determinism, the
+   parseable JSON, complete "X" events), metrics snapshot determinism and
+   its run-ledger lines, the
    Logs reporter actually emitting, and the Train.fit vacuous-best-epoch
    regression. *)
 
@@ -105,6 +106,44 @@ let test_concurrent_totals () =
         h4.OM.counts;
       Alcotest.(check (float 1e-6)) "histogram sum independent of jobs" h1.OM.sum h4.OM.sum
   | _ -> Alcotest.fail "histogram not recorded"
+
+(* Profile.publish swaps its whole profile.* set through replace_prefix:
+   a snapshot taken concurrently must hold an op's count and flops
+   together, never one without the other. *)
+let test_replace_prefix_atomic () =
+  fresh_metrics ();
+  OM.incr "other.kept";
+  OM.incr "p.stale";
+  let set i =
+    let labels = [ ("op", "x") ] in
+    [ { OM.e_name = "p.count"; e_labels = labels; e_value = OM.C i };
+      { OM.e_name = "p.flops"; e_labels = labels; e_value = OM.F (float_of_int i) } ]
+  in
+  OM.replace_prefix "p." (set 0);
+  let snap = OM.snapshot () in
+  Alcotest.(check int) "other prefixes kept" 1 (OM.counter_value snap "other.kept");
+  Alcotest.(check bool) "stale entry dropped" true (OM.find snap "p.stale" = None);
+  let rounds = 2000 in
+  let writer =
+    Domain.spawn (fun () -> for i = 1 to rounds do OM.replace_prefix "p." (set i) done)
+  in
+  let torn = ref 0 in
+  for _ = 1 to rounds do
+    let snap = OM.snapshot () in
+    let labels = [ ("op", "x") ] in
+    if (OM.find ~labels snap "p.count" = None) <> (OM.find ~labels snap "p.flops" = None)
+       || OM.find ~labels snap "p.count" = None
+    then incr torn
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "no snapshot holds half the set" 0 !torn;
+  Alcotest.(check int) "last set wins" rounds
+    (OM.counter_value ~labels:[ ("op", "x") ] (OM.snapshot ()) "p.count");
+  OM.disable ();
+  OM.replace_prefix "p." [];
+  OM.enable ();
+  Alcotest.(check int) "disabled registry untouched" rounds
+    (OM.counter_value ~labels:[ ("op", "x") ] (OM.snapshot ()) "p.count")
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -210,26 +249,39 @@ let test_metrics_json_roundtrip () =
   OM.gauge "a.gauge" 0.5;
   OM.observe ~buckets:[| 1.0; 10.0 |] "a.h" 3.0;
   (* label canonicalization + sorted snapshots: byte-identical renders *)
-  let j1 = OM.to_json (OM.snapshot ()) in
-  let j2 = OM.to_json (OM.snapshot ()) in
+  let j1 = OM.to_line (OM.snapshot ()) in
+  let j2 = OM.to_line (OM.snapshot ()) in
   Alcotest.(check string) "deterministic render" j1 j2;
-  let path = Filename.temp_file "liger" ".metrics.json" in
-  OM.write path;
-  (match Json.parse_file path with
-  | Error msg -> Alcotest.fail ("metrics JSON does not parse: " ^ msg)
-  | Ok json ->
-      let count section =
-        match Json.member section json with
-        | Some (Json.Obj kvs) -> List.length kvs
-        | _ -> -1
-      in
-      Alcotest.(check int) "counters section" 3 (count "counters");
-      Alcotest.(check int) "fcounters section" 1 (count "fcounters");
-      Alcotest.(check int) "gauges section" 1 (count "gauges");
-      Alcotest.(check int) "histograms section" 1 (count "histograms"));
+  let path = Filename.temp_file "liger" ".metrics.jsonl" in
+  Sys.remove path;
+  Liger_obs.Timeseries.tick ~path ();
+  Liger_obs.Timeseries.tick ~final:true ~path ();
+  let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check int) "two newline-terminated lines" 3 (List.length lines);
+  Alcotest.(check string) "nothing after the last newline" "" (List.nth lines 2);
+  List.iteri
+    (fun i line ->
+      if line <> "" then
+        match Json.parse line with
+        | Error msg -> Alcotest.fail ("ledger line does not parse: " ^ msg)
+        | Ok json ->
+            let keys section =
+              match Json.member section json with
+              | Some (Json.Obj kvs) -> List.map fst kvs
+              | _ -> []
+            in
+            Alcotest.(check int) "counters section" 3 (List.length (keys "counters"));
+            Alcotest.(check int) "fcounters section" 1 (List.length (keys "fcounters"));
+            Alcotest.(check bool) "gauges section" true (List.mem "a.gauge" (keys "gauges"));
+            Alcotest.(check int) "histograms section" 1 (List.length (keys "histograms"));
+            Alcotest.(check bool) "only the exit tick is final" (i = 1)
+              (Json.member "final" json = Some (Json.Bool true)))
+    lines;
   (match Obs.validate_file path with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.fail ("validate_file rejected the snapshot: " ^ msg));
+  | Ok summary ->
+      Alcotest.(check bool) "validates as a two-snapshot ledger" true
+        (contains summary "run ledger with 2 snapshots")
+  | Error msg -> Alcotest.fail ("validate_file rejected the ledger: " ^ msg));
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -381,6 +433,8 @@ let () =
           Alcotest.test_case "histogram quantile estimates" `Quick test_histogram_quantiles;
           Alcotest.test_case "kind clash rejected" `Quick test_histogram_kind_clash;
           Alcotest.test_case "totals independent of pool size" `Quick test_concurrent_totals;
+          Alcotest.test_case "replace_prefix swaps a prefix in one step" `Quick
+            test_replace_prefix_atomic;
           Alcotest.test_case "JSON snapshot deterministic, parses" `Quick
             test_metrics_json_roundtrip;
         ] );

@@ -3,7 +3,8 @@
    conventions on a known-shape matvec, live/peak memory gauge monotonicity,
    per-layer forward AND backward attribution through the tape tags,
    Bench_store JSONL roundtrip, the diff/render goldens behind
-   [liger stats --diff], and validate_file's profile cross-check. *)
+   [liger stats --diff] on histories and run ledgers, and validate_file's
+   profile cross-check on every ledger line. *)
 
 open Liger_tensor
 open Liger_nn
@@ -223,15 +224,24 @@ let test_stats_diff_histories () =
   Sys.remove path;
   Sys.remove single
 
+(* a run ledger of the registry's current snapshot, written with the
+   ledger-line serializer; [extra_lines] are appended verbatim after it *)
+let write_ledger ?(extra_lines = []) () =
+  let path = Filename.temp_file "liger" ".metrics.jsonl" in
+  let oc = open_out path in
+  output_string oc (OM.to_line ~extra:[ ("ts", "1"); ("seq", "0") ] (OM.snapshot ()));
+  List.iter (fun l -> output_string oc ("\n" ^ l)) extra_lines;
+  output_char oc '\n';
+  close_out oc;
+  path
+
 let test_stats_diff_files () =
-  (* two metrics snapshots with controlled counters *)
+  (* two run ledgers with controlled counters *)
   let write_snapshot v =
     fresh ~profiling:false;
     OM.add "pipeline.methods" v;
     OM.fadd "pipeline.seconds" (float_of_int v *. 0.5);
-    let path = Filename.temp_file "liger" ".metrics.json" in
-    OM.write path;
-    path
+    write_ledger ()
   in
   let a = write_snapshot 100 and b = write_snapshot 80 in
   (match Obs.diff_files ~threshold:0.1 a b with
@@ -239,7 +249,7 @@ let test_stats_diff_files () =
   | Ok text ->
       let expected =
         Printf.sprintf
-          "diff: %s -> %s\n\
+          "diff: %s [snapshot #0] -> %s [snapshot #0]\n\
            metric            before  after  change\n\
            pipeline.methods     100     80    -20%%  !\n\
            pipeline.seconds      50     40    -20%%  !\n"
@@ -253,6 +263,10 @@ let test_stats_diff_files () =
 (* validate_file: the profile cross-check                              *)
 (* ------------------------------------------------------------------ *)
 
+(* an op counter without its flops twin was not produced by publish *)
+let bad_profile_line =
+  {|{"ts":2,"seq":1,"counters":{"profile.op_count{op=ad.matvec}":1},"fcounters":{},"gauges":{},"histograms":{}}|}
+
 let test_validate_profile_section () =
   fresh ~profiling:true;
   let store = Param.create_store ~seed:4 () in
@@ -261,19 +275,16 @@ let test_validate_profile_section () =
   let y = Autodiff.matvec tape w (Autodiff.const tape (Array.make 3 1.0)) in
   Autodiff.backward tape (Autodiff.sum tape y);
   P.publish ();
-  let path = Filename.temp_file "liger" ".metrics.json" in
-  OM.write path;
+  let path = write_ledger () in
   (match Obs.validate_file path with
   | Error msg -> Alcotest.fail ("published snapshot rejected: " ^ msg)
   | Ok summary ->
       Alcotest.(check bool) "summary mentions the profile section" true
         (contains summary "profile section"));
   Sys.remove path;
-  (* an op counter without its flops twin was not produced by publish *)
-  let bad = Filename.temp_file "liger" ".metrics.json" in
+  let bad = Filename.temp_file "liger" ".metrics.jsonl" in
   let oc = open_out bad in
-  output_string oc
-    {|{"counters":{"profile.op_count{op=ad.matvec}":1},"fcounters":{},"gauges":{},"histograms":{}}|};
+  output_string oc (bad_profile_line ^ "\n");
   close_out oc;
   (match Obs.validate_file bad with
   | Ok _ -> Alcotest.fail "incomplete profile section accepted"
@@ -281,6 +292,19 @@ let test_validate_profile_section () =
       Alcotest.(check bool) "error names the missing metric" true
         (contains msg "profile.op_flops"));
   Sys.remove bad
+
+(* every ledger line gets the full check, not only a one-line ledger's *)
+let test_validate_profile_every_line () =
+  fresh ~profiling:false;
+  OM.incr "pipeline.methods";
+  let path = write_ledger ~extra_lines:[ bad_profile_line ] () in
+  (match Obs.validate_file path with
+  | Ok summary -> Alcotest.failf "two-line ledger with a bad profile accepted: %s" summary
+  | Error msg ->
+      Alcotest.(check bool) "error names the missing metric" true
+        (contains msg "profile.op_flops");
+      Alcotest.(check bool) "error names the line" true (contains msg "line 2"));
+  Sys.remove path
 
 let () =
   Alcotest.run "profile"
@@ -302,5 +326,7 @@ let () =
           Alcotest.test_case "stats --diff on snapshots" `Quick test_stats_diff_files;
           Alcotest.test_case "validate checks the profile section" `Quick
             test_validate_profile_section;
+          Alcotest.test_case "validate checks the profile on every ledger line" `Quick
+            test_validate_profile_every_line;
         ] );
     ]

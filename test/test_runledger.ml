@@ -1,8 +1,8 @@
 (* The run-ledger layer: golden OpenMetrics rendering (stable name/label
    order), flight-recorder ring wrap + postmortem dump determinism (also
    across a jobs=2 pool), GC/bufpool gauge enrichment across a small
-   batched train, the JSONL ledger round-trip through [liger stats], and
-   crash injection through Train.fit. *)
+   batched train, the JSONL ledger round-trip through [liger stats], torn
+   and malformed ledger lines, and crash injection through Train.fit. *)
 
 open Liger_tensor
 module Obs = Liger_obs.Obs
@@ -69,8 +69,8 @@ let test_openmetrics_golden () =
   (match Openmetrics.lint rendered with
   | Ok n -> Alcotest.(check int) "lint sample count" 9 n
   | Error e -> Alcotest.fail ("lint rejected the golden render: " ^ e));
-  (* the snapshot survives a trip through its JSON file format *)
-  match Json.parse (OM.to_json snap) with
+  (* the snapshot survives a trip through its ledger-line format *)
+  match Json.parse (OM.to_line snap) with
   | Error e -> Alcotest.fail ("snapshot JSON does not parse: " ^ e)
   | Ok json -> (
       match Openmetrics.render_json json with
@@ -313,6 +313,51 @@ let test_ledger_roundtrip () =
       | Error e -> Alcotest.fail ("exposition does not lint: " ^ e)));
   Sys.remove path
 
+(* A run killed mid-append, or a reader racing the writer, leaves a last
+   line without its newline: every reader drops it.  A malformed complete
+   line is still an error that names its line. *)
+let test_ledger_torn_tail () =
+  fresh_metrics ();
+  OM.incr "led.count";
+  let dir = Filename.temp_file "ligerrun" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "metrics.jsonl" in
+  Timeseries.tick ~path ();
+  Timeseries.tick ~path ();
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let line = OM.to_line ~extra:[ ("ts", "3"); ("seq", "2") ] (OM.snapshot ()) in
+  let write text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  write (good ^ String.sub line 0 (String.length line / 2));
+  (match Obs.read path with
+  | Ok (Obs.Ledger lines) -> Alcotest.(check int) "torn tail dropped" 2 (List.length lines)
+  | Ok _ -> Alcotest.fail "torn ledger read as another kind of file"
+  | Error e -> Alcotest.fail ("torn ledger rejected: " ^ e));
+  (match Obs.validate_file path with
+  | Ok s -> Alcotest.(check bool) "stats --validate sees 2 snapshots" true (contains s "with 2 snapshots")
+  | Error e -> Alcotest.fail ("stats --validate rejected the torn ledger: " ^ e));
+  (match Obs.top_frame path with
+  | Ok frame -> Alcotest.(check bool) "top renders a frame" true (contains frame "liger top")
+  | Error e -> Alcotest.fail ("top rejected the torn ledger: " ^ e));
+  (match Obs.load_report_run dir with
+  | Ok run -> Alcotest.(check int) "report loads 2 snapshots" 2 (List.length run.Obs.Report_html.lines)
+  | Error e -> Alcotest.fail ("report rejected the torn ledger: " ^ e));
+  (* a complete last line without its newline is kept *)
+  write (good ^ line);
+  (match Obs.read path with
+  | Ok (Obs.Ledger lines) -> Alcotest.(check int) "complete tail kept" 3 (List.length lines)
+  | _ -> Alcotest.fail "complete unterminated tail not read");
+  (* a bad complete line in the middle is rejected by line number *)
+  (match String.split_on_char '\n' good with
+  | first :: second :: _ ->
+      write (String.concat "\n" [ first; String.sub second 0 10; line; "" ]);
+      (match Obs.validate_file path with
+      | Ok s -> Alcotest.failf "bad middle line accepted: %s" s
+      | Error e -> Alcotest.(check bool) (Printf.sprintf "error names line 2 (got %S)" e) true (contains e "line 2"))
+  | _ -> Alcotest.fail "expected two ledger lines");
+  Sys.remove path;
+  Unix.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Crash injection through Train.fit                                   *)
 (* ------------------------------------------------------------------ *)
@@ -412,8 +457,12 @@ let () =
             test_enriched_gauges_monotone;
         ] );
       ( "ledger",
-        [ Alcotest.test_case "JSONL ledger round-trips through stats" `Quick
-            test_ledger_roundtrip ] );
+        [
+          Alcotest.test_case "JSONL ledger round-trips through stats" `Quick
+            test_ledger_roundtrip;
+          Alcotest.test_case "torn last line dropped, bad line rejected" `Quick
+            test_ledger_torn_tail;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "injected mid-epoch failure leaves a postmortem" `Quick

@@ -3,7 +3,8 @@
    coalescer's single-batch and never-a-lane-past-deadline guarantees;
    the LRU cache against a reference model; AST-hash stability under
    pretty-print/parse roundtrips; backpressure (429) and deadlines (408)
-   end-to-end over loopback sockets; the OOV sub-token contract; and the
+   end-to-end over loopback sockets; answers not held by Nagle's
+   algorithm on a pipelined connection; the OOV sub-token contract; and the
    serving arm of the determinism contract (byte-identical responses
    across job counts and reruns, byte-identical index builds). *)
 
@@ -595,6 +596,84 @@ let test_server_pipelined_connection () =
   Alcotest.(check bool) "responses in order" true (idx "echo /first" < idx "echo /second");
   Server.stop server
 
+(* Hits on a keep-alive connection must not wait for the client's
+   delayed ACK.  Without TCP_NODELAY, once two answers have gone out back
+   to back, Nagle's algorithm holds each new answer until the client
+   acknowledges the previous one, and that ACK rides on the next request:
+   every answer then lands one request interval late. *)
+let test_server_nodelay () =
+  let handler ~deadline:_ (req : Http.request) = (200, "text/plain", "echo " ^ req.Http.path) in
+  let server = Server.start ~handler () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Server.stop server)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let send paths =
+        let b =
+          Bytes.of_string
+            (String.concat ""
+               (List.map (Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n") paths))
+        in
+        ignore (Unix.write fd b 0 (Bytes.length b))
+      in
+      (* read one answer, framed by its Content-Length *)
+      let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+      let rec next_answer () =
+        let s = Buffer.contents buf in
+        let framed =
+          Option.bind (Http.find_head_end s (String.length s)) (fun i ->
+              let _, headers = Client.parse_head (String.sub s 0 i) in
+              let stop = i + 4 + int_of_string (List.assoc "content-length" headers) in
+              if String.length s >= stop then Some stop else None)
+        in
+        match framed with
+        | Some stop ->
+            Buffer.clear buf;
+            Buffer.add_string buf (String.sub s stop (String.length s - stop))
+        | None ->
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n = 0 then failwith "connection closed early";
+            Buffer.add_subbytes buf chunk 0 n;
+            next_answer ()
+      in
+      (* a closed-loop warm-up uses up the client's initial quick ACKs *)
+      for _ = 1 to 40 do
+        send [ "/warm" ];
+        next_answer ()
+      done;
+      let hits = 25 in
+      let sent = Array.make hits 0.0 and answered = Array.make hits 0.0 in
+      let reader =
+        Thread.create
+          (fun () ->
+            (* the two pipelined answers, then one per hit *)
+            next_answer ();
+            next_answer ();
+            for i = 0 to hits - 1 do
+              next_answer ();
+              answered.(i) <- Unix.gettimeofday ()
+            done)
+          ()
+      in
+      (* two pipelined requests: their answers go out back to back *)
+      send [ "/a"; "/b" ];
+      for i = 0 to hits - 1 do
+        Thread.delay 0.02;
+        sent.(i) <- Unix.gettimeofday ();
+        send [ Printf.sprintf "/h%d" i ]
+      done;
+      Thread.join reader;
+      let latencies = List.init hits (fun i -> answered.(i) -. sent.(i)) in
+      let median = List.nth (List.sort compare latencies) (hits / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "median hit answered in %.2f ms, well under the 20 ms interval"
+           (1000.0 *. median))
+        true (median < 0.01))
+
 let test_server_rejects_on_wire () =
   let handler ~deadline:_ (_ : Http.request) = (200, "text/plain", "ok") in
   let server =
@@ -760,6 +839,8 @@ let () =
             test_server_pipelined_connection;
           Alcotest.test_case "wire-level rejects: 400 and 413, no crash" `Quick
             test_server_rejects_on_wire;
+          Alcotest.test_case "spaced hits after back-to-back answers are not held" `Quick
+            test_server_nodelay;
         ] );
       ( "determinism",
         [
