@@ -9,8 +9,8 @@
      dune exec bench/main.exe -- --no-micro   # skip Bechamel microbenches
      dune exec bench/main.exe -- --micro-only # only the microbenches
      dune exec bench/main.exe -- --jobs 4     # parallel corpus-generation
-                                              # benchmark (1 vs 4 domains),
-                                              # writes BENCH_parallel.json
+                                              # benchmark (1 vs 4 domains);
+                                              # --history FILE records it
      dune exec bench/main.exe -- --trace t.json --metrics-out m.jsonl
                                               # Chrome trace + run ledger
                                               # (also via LIGER_TRACE_OUT /
@@ -80,9 +80,8 @@ let build_fixture () =
   }
 
 let train_step (wrap : Train.model) ex () =
-  let tape = Autodiff.tape () in
-  let loss = wrap.Train.train_loss tape ex in
-  Autodiff.backward tape loss;
+  let btape = Batched.tape () in
+  Batched.backward btape ((Train.hooks wrap).Train.train_loss_batch btape [| ex |]);
   Param.zero_grads wrap.Train.store
 
 let ablation_step fx ~seed config =
@@ -110,14 +109,14 @@ let micro_tests fx =
     Test.make ~name:"table2/code2vec-step" (Staged.stage (train_step fx.code2vec fx.example));
     (* Table 3 kernel: program-embedding encode (the classifier input) *)
     Test.make ~name:"table3/liger-encode"
-      (Staged.stage (fun () -> ignore (Liger_model.embed_program fx.liger fx.example)));
+      (Staged.stage (fun () -> ignore (Liger_model.embed_programs fx.liger [| fx.example |])));
     (* Figure 6/7 kernels: encoding under full vs reduced views *)
     Test.make ~name:"fig6/encode-full"
       (Staged.stage (fun () ->
-           ignore (Liger_model.embed_program fx.liger ~view:Common.full_view fx.example)));
+           ignore (Liger_model.embed_programs fx.liger ~view:Common.full_view [| fx.example |])));
     Test.make ~name:"fig7/encode-reduced"
       (Staged.stage (fun () ->
-           ignore (Liger_model.embed_program fx.liger ~view:view_reduced fx.example)));
+           ignore (Liger_model.embed_programs fx.liger ~view:view_reduced [| fx.example |])));
     (* Figures 8-11 kernels: one step of each ablation configuration *)
     Test.make ~name:"fig8/nostatic-step"
       (Staged.stage
@@ -244,17 +243,6 @@ let run_experiments () =
    corpus sequentially and on an N-domain pool, checks the determinism
    contract on the way, and records throughput for the perf trajectory. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let strip_uids (c : Liger_dataset.Pipeline.corpus) =
   let strip = List.map (fun ex -> { ex with Common.uid = 0 }) in
   (strip c.Liger_dataset.Pipeline.train,
@@ -336,39 +324,6 @@ let run_parallel_bench ~jobs =
       (Domain.recommended_domain_count ());
   let rev = B.git_rev () in
   let date = B.iso8601 (Unix.gettimeofday ()) in
-  let oc = open_out "BENCH_parallel.json" in
-  let busy =
-    busy_seconds |> Array.to_list
-    |> List.map (Printf.sprintf "%.6f")
-    |> String.concat ", "
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "%s",
-  "rev": "%s",
-  "date": "%s",
-  "methods": %d,
-  "jobs": %d,
-  "seq_seconds": %.6f,
-  "par_seconds": %.6f,
-  "speedup": %.4f,
-  "seq_methods_per_second": %.4f,
-  "par_methods_per_second": %.4f,
-  "deterministic": %b,
-  "pool_tasks": %d,
-  "pool_batches": %d,
-  "pool_wall_seconds": %.6f,
-  "pool_utilization": %.4f,
-  "per_domain_busy_seconds": [%s]
-}
-|}
-    (json_escape "corpus-generation (build_naming: testgen + filter + trace + encode)")
-    (json_escape rev) (json_escape date) n_methods jobs seq_dt par_dt speedup
-    (float_of_int n_methods /. seq_dt)
-    (float_of_int n_methods /. par_dt)
-    deterministic pool_tasks pool_batches pool_wall utilization busy;
-  close_out oc;
-  say "wrote BENCH_parallel.json\n%!";
   {
     B.benchmark = "parallel-corpus";
     rev;

@@ -424,9 +424,11 @@ let predict_cmd =
     let blended = Feedback.blended meth result in
     let enc = Common.default_enc_config in
     let ex = Common.encode_example enc vocab meth blended (Common.Name meth.Ast.mname) in
-    let tape = Autodiff.tape () in
-    let toks = Liger_model.predict_name model tape ex in
-    Autodiff.discard tape;
+    let toks =
+      match (Liger_model.predict_batch model [| ex |]).(0) with
+      | Liger_model.Subtokens toks -> toks
+      | Liger_model.Class _ -> failwith "the saved model is not a naming model"
+    in
     Printf.printf "method is named: %s\npredicted name:  %s (%s)\n" meth.Ast.mname
       (Subtoken.join toks)
       (String.concat " " toks)

@@ -41,14 +41,10 @@ let () =
 
   Printf.printf "%-28s %-28s\n" "gold name" "predicted sub-tokens";
   Printf.printf "%s\n" (String.make 56 '-');
-  List.iteri
-    (fun i (ex : Common.enc_example) ->
-      if i < 12 then begin
-        let predicted =
-          match wrapper.Train.predict ex with
-          | Train.Subtokens toks -> String.concat " " toks
-          | Train.Class _ -> "?"
-        in
-        Printf.printf "%-28s %-28s\n" ex.Common.meth.Ast.mname predicted
-      end)
-    corpus.Pipeline.test
+  List.iter
+    (fun ((predicted, gold) : Train.prediction * Train.prediction) ->
+      match (predicted, gold) with
+      | Train.Subtokens toks, Train.Subtokens name ->
+          Printf.printf "%-28s %-28s\n" (Subtoken.join name) (String.concat " " toks)
+      | _ -> ())
+    (Train.predictions wrapper (List.filteri (fun i _ -> i < 12) corpus.Pipeline.test))

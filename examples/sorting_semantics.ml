@@ -163,9 +163,8 @@ let () =
     Rng.shuffle rng arr;
     Array.iter
       (fun ex ->
-        let tape = Autodiff.tape () in
-        let loss, _ = Liger_model.loss model tape ex in
-        Autodiff.backward tape loss;
+        let btape = Batched.tape () in
+        Batched.backward btape (Liger_model.loss_batch model btape [| ex |]);
         ignore (Optimizer.clip_grads (Liger_model.store model) ~max_norm:5.0);
         Optimizer.step opt (Liger_model.store model))
       arr
@@ -175,7 +174,7 @@ let () =
     let r = Feedback.generate ~budget rng m in
     let b = Feedback.blended m r in
     let ex = Common.encode_example enc vocab m b (Common.Class 0) in
-    Liger_model.embed_program model ex
+    (Liger_model.embed_programs model [| ex |]).(0)
   in
   let e1 = embed m1 and e2 = embed m2 and e3 = embed m3 in
   Printf.printf "cosine(sortI, sortIII) = %.3f   (same algorithm)\n" (cosine e1 e3);

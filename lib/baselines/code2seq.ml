@@ -19,7 +19,6 @@ type enc_path = {
 }
 
 type t = {
-  task : Liger_model.task;
   store : Param.store;
   vocab : Vocab.t;
   embedding : Embedding_layer.t;
@@ -43,7 +42,7 @@ let create ?(dim = 16) ?(seed = 17) ?(path_seed = 2017) vocab (task : Liger_mode
         (Some (Decoder.create store "dec" embedding ~dim_hidden:dim ~dim_mem:dim), None)
     | Liger_model.Classify n -> (None, Some (Linear.create store "cls" ~dim_in:dim ~dim_out:n))
   in
-  { task; store; vocab; embedding; path_rnn; combine; decoder; classifier; path_seed;
+  { store; vocab; embedding; path_rnn; combine; decoder; classifier; path_seed;
     cache = Hashtbl.create 256; cache_lock = Mutex.create () }
 
 let store t = t.store
@@ -95,58 +94,78 @@ let target_ids t (ex : Common.enc_example) =
   | Common.Name name -> List.map (Vocab.id t.vocab) (Subtoken.split name)
   | Common.Class c -> [ c ]
 
-let sum_embeddings t tape ids =
-  match ids with
-  | [] -> Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0)
-  | first :: rest ->
-      List.fold_left
-        (fun acc id -> Autodiff.add tape acc (Embedding_layer.embed_id t.embedding tape id))
-        (Embedding_layer.embed_id t.embedding tape first)
-        rest
+(* Every path of every example is one lane: terminals sum their sub-token
+   embeddings (group sums; an empty terminal is a zero row), the path RNN
+   runs over node types as a ragged recurrence, and the combiner mixes the
+   three.  The memory is each example's paths; the program embedding is
+   their mean (zero, with one padded slot, for an example without
+   paths). *)
+let encode_batch t btape (exs : Common.enc_example array) =
+  let g_n = Array.length exs in
+  let d = Embedding_layer.dim t.embedding in
+  let per_ex = Array.map (fun ex -> Array.of_list (paths_of t ex)) exs in
+  let paths = Array.concat (Array.to_list per_ex) in
+  let p_n = Array.length paths in
+  if p_n = 0 then
+    {
+      Liger_model.benc_prog = Batched.zeros btape ~rows:g_n ~cols:d;
+      benc_mem = [| Batched.zeros btape ~rows:g_n ~cols:d |];
+      benc_mem_mask = Tensor.zeros g_n 1;
+    }
+  else begin
+    let terminal side =
+      let ids = Array.of_list (List.concat_map (fun p -> side p) (Array.to_list paths)) in
+      let groups =
+        Array.of_list
+          (List.concat (List.mapi (fun i p -> List.map (fun _ -> i) (side p)) (Array.to_list paths)))
+      in
+      if ids = [||] then Batched.zeros btape ~rows:p_n ~cols:d
+      else
+        Batched.group_sum btape (Embedding_layer.embed_ids t.embedding btape ids) ~groups
+          ~n_groups:p_n
+    in
+    let left = terminal (fun p -> p.left) in
+    let right = terminal (fun p -> p.right) in
+    let node_types = Array.map (fun p -> Array.of_list p.path) paths in
+    let path =
+      Liger_model.last_ragged t.path_rnn btape ~lengths:(Array.map Array.length node_types)
+        ~input:(fun v ->
+          Embedding_layer.embed_ids t.embedding btape
+            (Array.map (fun a -> if v < Array.length a then a.(v) else 0) node_types))
+    in
+    let encoded =
+      Linear.forward_tanh_batch t.combine btape (Batched.concat_cols btape [ left; path; right ])
+    in
+    let inv_count =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun ps ->
+                Array.make d (if ps = [||] then 0.0 else 1.0 /. float_of_int (Array.length ps)))
+              per_ex))
+    in
+    let lane_ex =
+      Array.concat (Array.to_list (Array.mapi (fun g ps -> Array.make (Array.length ps) g) per_ex))
+    in
+    let benc_prog =
+      Batched.mul btape
+        (Batched.group_sum btape encoded ~groups:lane_ex ~n_groups:g_n)
+        (Batched.const_arr btape ~rows:g_n ~cols:d inv_count)
+    in
+    let benc_mem, benc_mem_mask =
+      Liger_model.memory_slots btape encoded
+        (Liger_model.segment_rows (Array.map Array.length per_ex))
+    in
+    { Liger_model.benc_prog; benc_mem; benc_mem_mask }
+  end
 
-let encode_path t tape (p : enc_path) =
-  let left = sum_embeddings t tape p.left in
-  let right = sum_embeddings t tape p.right in
-  let path =
-    Rnn_cell.last t.path_rnn tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) p.path)
-  in
-  Linear.forward_tanh t.combine tape (Autodiff.concat tape [ left; path; right ])
+let loss_batch t btape (exs : Common.enc_example array) =
+  Liger_model.head_losses btape ~decoder:t.decoder ~classifier:t.classifier
+    (encode_batch t btape exs) ~target_ids:(target_ids t) exs
 
-(** Encode a method: memory = the encoded paths; the "program embedding"
-    handed to the decoder is their mean. *)
-let encode t tape (ex : Common.enc_example) =
-  let encoded = List.map (encode_path t tape) (paths_of t ex) in
-  match encoded with
-  | [] ->
-      let z = Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0) in
-      (z, [| z |])
-  | _ ->
-      let memory = Array.of_list encoded in
-      (Autodiff.mean_pool tape memory, memory)
-
-let loss t tape (ex : Common.enc_example) =
-  let program_embedding, memory = encode t tape ex in
-  match (t.task, t.decoder, t.classifier) with
-  | Liger_model.Naming, Some dec, _ ->
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:(target_ids t ex)
-  | Liger_model.Classify _, _, Some cls -> (
-      let logits = Linear.forward cls tape program_embedding in
-      match ex.Common.target_ids with
-      | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-      | _ -> invalid_arg "Code2seq.loss: classification target must be one class")
-  | _ -> invalid_arg "Code2seq.loss: task/head mismatch"
-
-let predict_name t tape (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Code2seq.predict_name: not a naming model"
-  | Some dec ->
-      let program_embedding, memory = encode t tape ex in
-      List.map (Vocab.name t.vocab) (Decoder.decode dec tape ~memory ~program_embedding)
-
-let predict_class t tape (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Code2seq.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _ = encode t tape ex in
-      Tensor.argmax (Autodiff.value (Linear.forward cls tape program_embedding))
+let predict_batch t (exs : Common.enc_example array) =
+  if Array.length exs = 0 then [||]
+  else
+    Liger_model.with_tape (fun btape ->
+        Liger_model.head_predictions btape ~decoder:t.decoder ~classifier:t.classifier
+          ~vocab:t.vocab (encode_batch t btape exs))

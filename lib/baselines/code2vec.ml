@@ -92,42 +92,57 @@ let contexts_of t (ex : Common.enc_example) =
             Hashtbl.add t.cache ex.Common.uid cs);
       cs
 
-let code_vector t tape (ex : Common.enc_example) =
-  let contexts = contexts_of t ex in
-  let embed id = Embedding_layer.embed_id t.embedding tape id in
-  let vecs =
-    List.map
-      (fun c ->
-        Linear.forward_tanh t.combine tape
-          (Autodiff.concat tape [ embed c.left; embed c.path; embed c.right ]))
-      contexts
-  in
-  match vecs with
-  | [] -> Autodiff.const tape (Array.make (Embedding_layer.dim t.embedding) 0.0)
-  | _ ->
-      let vecs = Array.of_list vecs in
-      let scores =
-        Array.map (fun v -> Autodiff.matvec tape t.attention_vec v) vecs
-      in
-      let w = Autodiff.softmax tape (Autodiff.concat tape (Array.to_list scores)) in
-      Autodiff.weighted_sum tape w vecs
-
 let target_of t (ex : Common.enc_example) =
   match (ex.Common.label, t.n_classes) with
   | Common.Class c, Some _ -> c
   | Common.Name name, None -> Vocab.id t.labels name
   | _ -> invalid_arg "Code2vec: task/label mismatch"
 
-let loss t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  fst (Autodiff.softmax_cross_entropy tape logits (target_of t ex))
+(* Code vectors of a batch ([G × dim]): every context of every example is
+   one lane through the combiner; per example, the global attention vector
+   scores its contexts (padded slots masked) and their weighted sum is the
+   code vector.  An example without contexts gets a zero vector. *)
+let code_vectors t btape (exs : Common.enc_example array) =
+  let g_n = Array.length exs in
+  let ctxs = Array.map (fun ex -> Array.of_list (contexts_of t ex)) exs in
+  let all = Array.concat (Array.to_list ctxs) in
+  if all = [||] then Batched.zeros btape ~rows:g_n ~cols:(Embedding_layer.dim t.embedding)
+  else begin
+    let embed f = Embedding_layer.embed_ids t.embedding btape (Array.map f all) in
+    let vecs =
+      Linear.forward_tanh_batch t.combine btape
+        (Batched.concat_cols btape
+           [ embed (fun c -> c.left); embed (fun c -> c.path); embed (fun c -> c.right) ])
+    in
+    let slots, mask =
+      Liger_model.memory_slots btape vecs
+        (Liger_model.segment_rows (Array.map Array.length ctxs))
+    in
+    let scores =
+      Batched.matvec_stack_cols btape
+        (Batched.vstack btape (Array.to_list slots))
+        t.attention_vec ~lanes:g_n
+    in
+    Batched.weighted_sum btape (Batched.masked_softmax_rows btape scores ~mask) slots
+  end
 
-(** Predicted sub-tokens: the argmax whole-name label, split. *)
-let predict_name t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  let label = Tensor.argmax (Autodiff.value logits) in
-  Liger_lang.Subtoken.split (Vocab.name t.labels label)
+let logits_batch t btape exs = Linear.forward_batch t.out btape (code_vectors t btape exs)
 
-let predict_class t tape (ex : Common.enc_example) =
-  let logits = Linear.forward t.out tape (code_vector t tape ex) in
-  Tensor.argmax (Autodiff.value logits)
+let loss_batch t btape (exs : Common.enc_example array) =
+  fst
+    (Batched.softmax_xent_rows btape (logits_batch t btape exs)
+       ~targets:(Array.map (target_of t) exs)
+       ~weights:(Array.make (Array.length exs) 1.0))
+
+(** Predictions: the argmax label, split into sub-tokens for naming. *)
+let predict_batch t (exs : Common.enc_example array) =
+  if Array.length exs = 0 then [||]
+  else
+    Liger_model.with_tape (fun btape ->
+        let logits = logits_batch t btape exs in
+        Array.init (Array.length exs) (fun g ->
+            let label = Tensor.argmax (Batched.row_value logits g) in
+            match t.n_classes with
+            | Some _ -> Liger_model.Class label
+            | None ->
+                Liger_model.Subtokens (Liger_lang.Subtoken.split (Vocab.name t.labels label))))

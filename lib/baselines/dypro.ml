@@ -18,7 +18,6 @@ open Liger_nn
 open Liger_core
 
 type t = {
-  task : Liger_model.task;
   store : Param.store;
   vocab : Vocab.t;
   embedding : Embedding_layer.t;
@@ -41,123 +40,129 @@ let create ?(dim = 16) ?(seed = 11) vocab (task : Liger_model.task) =
         (Some (Decoder.create store "dec" embedding ~dim_hidden:dim ~dim_mem:dim), None)
     | Liger_model.Classify n -> (None, Some (Linear.create store "cls" ~dim_in:dim ~dim_out:n))
   in
-  { task; store; vocab; embedding; f1; f2; trace_rnn; decoder; classifier }
+  { store; vocab; embedding; f1; f2; trace_rnn; decoder; classifier }
 
 let store t = t.store
 let num_params t = Param.num_params t.store
 
-let embed_value t tape (tokens : int array) =
-  if Array.length tokens = 1 then Embedding_layer.embed_id t.embedding tape tokens.(0)
+(* One lane per concrete trace the view exposes, grouped by example:
+   (example, symbolic trace, concrete index).  The program embedding
+   max-pools an example's final lane states; its decoder memory is every
+   trace-RNN state of its lanes. *)
+let encode_batch t btape ~view (exs : Common.enc_example array) =
+  let d = Rnn_cell.dim_hidden t.trace_rnn in
+  let g_n = Array.length exs in
+  if g_n = 0 then invalid_arg "Dypro.encode_batch: empty batch";
+  let lanes =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun g (ex : Common.enc_example) ->
+              List.concat_map
+                (fun tr -> List.init (Common.select_concrete view tr) (fun k -> (g, tr, k)))
+                (Array.to_list (Common.select_traces view ex)))
+            (Array.to_list exs)))
+  in
+  let lane_ex = Array.map (fun (g, _, _) -> g) lanes in
+  let n_steps =
+    Array.map (fun (_, (tr : Common.enc_trace), _) -> Array.length tr.Common.steps) lanes
+  in
+  let l_n = Array.length lanes in
+  if l_n = 0 then Liger_model.trace_encoding btape ~d ~g_n ~lane_ex ~n_steps ~final:None []
+  else begin
+    (* a state is its variables as (name token, value tokens) pairs;
+       identical states share one f2 lane *)
+    let state_tbl = Hashtbl.create 256 and states_rev = ref [] in
+    let state_idx =
+      Array.map
+        (fun (g, (tr : Common.enc_trace), k) ->
+          let names = exs.(g).Common.var_name_ids in
+          Array.map
+            (fun (step : Common.enc_step) ->
+              let state =
+                Array.mapi
+                  (fun i tokens ->
+                    ((if i < Array.length names then names.(i) else Vocab.unk_id), tokens))
+                  step.Common.var_tokens.(k)
+              in
+              Liger_model.intern state_tbl states_rev state state)
+            tr.Common.steps)
+        lanes
+    in
+    let states = Array.of_list (List.rev !states_rev) in
+    let flat = Array.concat (Array.to_list states) in
+    let values, rows =
+      Liger_model.embed_values t.embedding t.f1 btape (Array.map snd flat)
+    in
+    let var_row = Liger_model.segment_rows (Array.map Array.length states) in
+    (* f2 over each state's (name ++ value) vectors *)
+    let var_at v pick =
+      Array.mapi (fun s vars -> if v < Array.length vars then pick var_row.(s).(v) else 0) states
+    in
+    let state_vecs =
+      Liger_model.last_ragged t.f2 btape ~lengths:(Array.map Array.length states)
+        ~input:(fun v ->
+          Batched.concat_cols btape
+            [
+              Embedding_layer.embed_ids t.embedding btape (var_at v (fun i -> fst flat.(i)));
+              Batched.gather_rows btape (Option.get values) (var_at v (fun i -> rows.(i)));
+            ])
+    in
+    (* the trace RNN over states, lanes in lockstep *)
+    let max_s = Array.fold_left Stdlib.max 0 n_steps in
+    let h = ref (Rnn_cell.init_state_batch t.trace_rnn btape ~lanes:l_n) in
+    let mem_rev = ref [] in
+    for j = 0 to max_s - 1 do
+      let live l = j < n_steps.(l) in
+      let x =
+        Batched.gather_rows btape state_vecs
+          (Array.init l_n (fun l -> if live l then state_idx.(l).(j) else 0))
+      in
+      h :=
+        Rnn_cell.step_batch t.trace_rnn btape ~h:!h ~x
+          ~mask:(Array.init l_n (fun l -> if live l then 1.0 else 0.0));
+      mem_rev := !h :: !mem_rev
+    done;
+    Liger_model.trace_encoding btape ~d ~g_n ~lane_ex ~n_steps ~final:(Some !h)
+      (List.rev !mem_rev)
+  end
+
+let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
+  Liger_model.head_losses btape ~decoder:t.decoder ~classifier:t.classifier
+    (encode_batch t btape ~view exs)
+    ~target_ids:(fun (ex : Common.enc_example) -> ex.Common.target_ids)
+    exs
+
+let predict_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  if Array.length exs = 0 then [||]
   else
-    Rnn_cell.last t.f1 tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) (Array.to_list tokens))
+    Liger_model.with_tape (fun btape ->
+        Liger_model.head_predictions btape ~decoder:t.decoder ~classifier:t.classifier
+          ~vocab:t.vocab (encode_batch t btape ~view exs))
 
-let embed_state t tape ~var_name_ids (vars : int array array) =
-  let inputs =
-    List.mapi
-      (fun i tokens ->
-        let name_id =
-          if i < Array.length var_name_ids then var_name_ids.(i) else Vocab.unk_id
-        in
-        Autodiff.concat tape
-          [ Embedding_layer.embed_id t.embedding tape name_id; embed_value t tape tokens ])
-      (Array.to_list vars)
-  in
-  Rnn_cell.last t.f2 tape inputs
-
-(* Embed the k-th concrete trace of an encoded path. *)
-let encode_concrete t tape ~var_name_ids (tr : Common.enc_trace) k =
-  let h = ref (Rnn_cell.init_state t.trace_rnn tape) in
-  let mem = ref [] in
-  Array.iter
-    (fun (step : Common.enc_step) ->
-      let x = embed_state t tape ~var_name_ids step.Common.var_tokens.(k) in
-      h := Rnn_cell.step t.trace_rnn tape ~h:!h ~x;
-      mem := !h :: !mem)
-    tr.Common.steps;
-  (List.rev !mem, !h)
-
-(** Encode every concrete trace the view exposes; program embedding is the
-    max-pool over trace embeddings. *)
-let encode t tape ?(view = Common.full_view) (ex : Common.enc_example) =
-  let var_name_ids = ex.Common.var_name_ids in
-  let mems = ref [] and finals = ref [] in
-  Array.iter
-    (fun tr ->
-      for k = 0 to Common.select_concrete view tr - 1 do
-        let mem, final = encode_concrete t tape ~var_name_ids tr k in
-        mems := mem :: !mems;
-        finals := final :: !finals
-      done)
-    (Common.select_traces view ex);
-  let finals = Array.of_list (List.rev !finals) in
-  let program_embedding =
-    if Array.length finals = 0 then
-      Autodiff.const tape (Array.make (Rnn_cell.dim_hidden t.trace_rnn) 0.0)
-    else Autodiff.max_pool tape finals
-  in
-  (program_embedding, Array.of_list (List.concat (List.rev !mems)))
-
-let loss t tape ?view (ex : Common.enc_example) =
-  let program_embedding, memory = encode t tape ?view ex in
-  match (t.task, t.decoder, t.classifier) with
-  | Liger_model.Naming, Some dec, _ ->
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:ex.Common.target_ids
-  | Liger_model.Classify _, _, Some cls -> (
-      let logits = Linear.forward cls tape program_embedding in
-      match ex.Common.target_ids with
-      | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-      | _ -> invalid_arg "Dypro.loss: classification target must be one class")
-  | _ -> invalid_arg "Dypro.loss: task/head mismatch"
-
-let predict_name t tape ?view (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Dypro.predict_name: not a naming model"
-  | Some dec ->
-      let program_embedding, memory = encode t tape ?view ex in
-      List.map (Vocab.name t.vocab) (Decoder.decode dec tape ~memory ~program_embedding)
-
-let predict_class t tape ?view (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Dypro.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _ = encode t tape ?view ex in
-      Tensor.argmax (Autodiff.value (Linear.forward cls tape program_embedding))
-
-(** The program embedding vector itself (frozen; for probing). *)
-let embed_program t ?view (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let program_embedding, _ = encode t tape ?view ex in
-  let v = Array.copy (Autodiff.value program_embedding) in
-  Autodiff.discard tape;
-  v
+(** Program embeddings (frozen; for probing and the drift probe), one per
+    example. *)
+let embed_programs t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  if Array.length exs = 0 then [||]
+  else
+    Liger_model.with_tape (fun btape ->
+        let enc = encode_batch t btape ~view exs in
+        Array.init (Array.length exs) (fun g -> Batched.row_value enc.Liger_model.benc_prog g))
 
 (** Frozen per-statement embeddings (same contract as
     {!Liger_core.Liger_model.statement_embeddings}): per statement id, the
     mean of every trace-RNN state produced while executing that statement,
     over all concrete traces the view exposes. *)
 let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (tr : Common.enc_trace) ->
-      for k = 0 to Common.select_concrete view tr - 1 do
-        let mem, _ = encode_concrete t tape ~var_name_ids:ex.Common.var_name_ids tr k in
-        List.iteri
-          (fun j h ->
-            let sid = tr.Common.steps.(j).Common.memo_key lsr 1 in
-            let v = Autodiff.value h in
-            match Hashtbl.find_opt tbl sid with
-            | Some (sum, n) ->
-                Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
-                Hashtbl.replace tbl sid (sum, n + 1)
-            | None -> Hashtbl.add tbl sid (Array.copy v, 1))
-          mem
-      done)
-    (Common.select_traces view ex);
-  Autodiff.discard tape;
-  Hashtbl.fold
-    (fun sid (sum, n) acc ->
-      (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Liger_model.with_tape (fun btape ->
+      let enc = encode_batch t btape ~view [| ex |] in
+      (* memory slot m is the m-th (trace, concrete, step) in order *)
+      let sids =
+        Array.concat
+          (List.concat_map
+             (fun (tr : Common.enc_trace) ->
+               List.init (Common.select_concrete view tr) (fun _ ->
+                   Array.map (fun (s : Common.enc_step) -> s.Common.memo_key lsr 1) tr.Common.steps))
+             (Array.to_list (Common.select_traces view ex)))
+      in
+      Liger_model.mean_by_statement sids (fun m -> Batched.row_value enc.Liger_model.benc_mem.(m) 0))

@@ -36,19 +36,20 @@ let nearest t ?(k = 5) query =
   |> List.sort (fun (a, _) (b, _) -> compare b a)
   |> List.filteri (fun i _ -> i < k)
 
+(* one example's program embedding (a one-lane forward) *)
+let embed model ex = (Liger_model.embed_programs model [| ex |]).(0)
+
 (** Index every example of a corpus under its label/name using a trained
     model's program embeddings. *)
 let of_examples model examples ~key_of =
   let dim =
     match examples with
     | [] -> invalid_arg "Embedding_index.of_examples: empty"
-    | ex :: _ -> Array.length (Liger_model.embed_program model ex)
+    | ex :: _ -> Array.length (embed model ex)
   in
   let t = create ~dim in
-  List.iter
-    (fun ex -> add t ~key:(key_of ex) (Liger_model.embed_program model ex))
-    examples;
+  List.iter (fun ex -> add t ~key:(key_of ex) (embed model ex)) examples;
   t
 
 (** Retrieve nearest programs to a fresh example. *)
-let query model t ?k ex = nearest t ?k (Liger_model.embed_program model ex)
+let query model t ?k ex = nearest t ?k (embed model ex)

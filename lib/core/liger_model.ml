@@ -50,7 +50,6 @@ let default_config =
 
 type t = {
   config : config;
-  task : task;
   store : Param.store;
   vocab : Vocab.t;
   embedding : Embedding_layer.t;
@@ -94,35 +93,11 @@ let create ?(config = default_config) ?(seed = 7) vocab task =
     | Naming -> (Some (Decoder.create store "dec" embedding ~dim_hidden:d ~dim_mem:d), None)
     | Classify n -> (None, Some (Linear.create store "cls" ~dim_in:d ~dim_out:n))
   in
-  { config; task; store; vocab; embedding; treelstm; f1; f2; fusion; f3; decoder; classifier }
+  { config; store; vocab; embedding; treelstm; f1; f2; fusion; f3; decoder; classifier }
 
 let store t = t.store
 let vocab t = t.vocab
 let num_params t = Param.num_params t.store
-
-(* TreeLSTM over an interned tree. *)
-let rec itree_state t tape (tree : Common.itree) =
-  let cell = Option.get t.treelstm in
-  match tree with
-  | Common.ILeaf id -> Treelstm.node_state cell tape (Embedding_layer.embed_id t.embedding tape id) []
-  | Common.INode (id, children) ->
-      Treelstm.node_state cell tape
-        (Embedding_layer.embed_id t.embedding tape id)
-        (List.map (itree_state t tape) children)
-
-(* Embedding of one variable's value: a single token embeds directly
-   (primitive types), composites run through f1 (Equation 3). *)
-let embed_variable t tape (tokens : int array) =
-  if Array.length tokens = 1 then Embedding_layer.embed_id t.embedding tape tokens.(0)
-  else
-    let f1 = Option.get t.f1 in
-    Rnn_cell.last f1 tape
-      (List.map (Embedding_layer.embed_id t.embedding tape) (Array.to_list tokens))
-
-(* Embedding of one program state: f2 over the fixed-order variables. *)
-let embed_state t tape (vars : int array array) =
-  let f2 = Option.get t.f2 in
-  Rnn_cell.last f2 tape (List.map (embed_variable t tape) (Array.to_list vars))
 
 (** Per-encode diagnostics: average fusion attention allocated to the static
     feature vector (§6.1.2 reports ~0.598). *)
@@ -132,149 +107,7 @@ let mean_static_weight s =
   if s.fused_steps = 0 then Float.nan
   else s.static_weight_sum /. float_of_int s.fused_steps
 
-(* Encode one blended trace; returns (per-step H^e_{i,j} list, final H^e_i). *)
-let encode_trace t tape ~view ~tree_memo ~stats (tr : Common.enc_trace) =
-  let n_concrete = Common.select_concrete view tr in
-  let h_trace = ref (Rnn_cell.init_state t.f3 tape) in
-  let mem = ref [] in
-  Array.iteri
-    (fun j (step : Common.enc_step) ->
-      let static_vec =
-        if t.config.use_static then
-          Some
-            (match Hashtbl.find_opt tree_memo step.Common.memo_key with
-            | Some h -> h
-            | None ->
-                let h = fst (itree_state t tape step.Common.tree) in
-                Hashtbl.add tree_memo step.Common.memo_key h;
-                h)
-        else None
-      in
-      let dyn_vecs =
-        if t.config.use_dynamic then
-          List.init n_concrete (fun k -> embed_state t tape step.Common.var_tokens.(k))
-        else []
-      in
-      let candidates =
-        Array.of_list (Option.to_list static_vec @ dyn_vecs)
-      in
-      let h_j =
-        if Array.length candidates = 1 then candidates.(0)
-        else
-          match t.fusion with
-          | Some att when j > 0 && t.config.use_attention ->
-              let w, fused = Attention.fuse att tape ~q:!h_trace candidates in
-              if t.config.use_static then begin
-                stats.static_weight_sum <- stats.static_weight_sum +. (Autodiff.value w).(0);
-                stats.fused_steps <- stats.fused_steps + 1
-              end;
-              fused
-          | _ -> snd (Attention.fuse_uniform tape candidates)
-      in
-      h_trace := Rnn_cell.step t.f3 tape ~h:!h_trace ~x:h_j;
-      mem := !h_trace :: !mem)
-    tr.Common.steps;
-  (List.rev !mem, !h_trace)
-
-(** Encode a whole program under a view; returns the program embedding H_P,
-    the decoder memory {H^e_{i,j}} and fusion statistics. *)
-let encode t tape ?(view = Common.full_view) (ex : Common.enc_example) =
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-  let tree_memo = Hashtbl.create 32 in
-  let traces = Common.select_traces view ex in
-  let mems, finals =
-    Array.fold_left
-      (fun (mems, finals) tr ->
-        let mem, final = encode_trace t tape ~view ~tree_memo ~stats tr in
-        (mem :: mems, final :: finals))
-      ([], []) traces
-  in
-  let finals = Array.of_list (List.rev finals) in
-  let program_embedding =
-    if Array.length finals = 0 then Autodiff.const tape (Array.make t.config.dim 0.0)
-    else Autodiff.max_pool tape finals
-  in
-  let memory = Array.of_list (List.concat (List.rev mems)) in
-  (program_embedding, memory, stats)
-
-(** Training loss of one example (teacher-forced NLL for naming,
-    cross-entropy for classification). *)
-let loss t tape ?view (ex : Common.enc_example) =
-  let program_embedding, memory, stats = encode t tape ?view ex in
-  let l =
-    match (t.task, t.decoder, t.classifier) with
-    | Naming, Some dec, _ ->
-        Decoder.loss dec tape ~memory ~program_embedding ~target_ids:ex.Common.target_ids
-    | Classify _, _, Some cls -> (
-        let logits = Linear.forward cls tape program_embedding in
-        match ex.Common.target_ids with
-        | [ c ] -> fst (Autodiff.softmax_cross_entropy tape logits c)
-        | _ -> invalid_arg "Liger_model.loss: classification target must be one class")
-    | _ -> invalid_arg "Liger_model.loss: task/head mismatch"
-  in
-  (l, stats)
-
-(** Predict sub-token ids (naming) — greedy decoding. *)
-let predict_name_ids t tape ?view (ex : Common.enc_example) =
-  match t.decoder with
-  | None -> invalid_arg "Liger_model.predict_name_ids: not a naming model"
-  | Some dec ->
-      let program_embedding, memory, _ = encode t tape ?view ex in
-      Decoder.decode dec tape ~memory ~program_embedding
-
-(** Predict sub-tokens as strings. *)
-let predict_name t tape ?view ex =
-  List.map (Vocab.name t.vocab) (predict_name_ids t tape ?view ex)
-
-(** Predict a class id (classification). *)
-let predict_class t tape ?view (ex : Common.enc_example) =
-  match t.classifier with
-  | None -> invalid_arg "Liger_model.predict_class: not a classification model"
-  | Some cls ->
-      let program_embedding, _, _ = encode t tape ?view ex in
-      let logits = Linear.forward cls tape program_embedding in
-      Tensor.argmax (Autodiff.value logits)
-
-(** The program embedding vector itself (for downstream use / examples). *)
-let embed_program t ?view (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let program_embedding, _, _ = encode t tape ?view ex in
-  let v = Array.copy (Autodiff.value program_embedding) in
-  Autodiff.discard tape;
-  v
-
-(** Frozen per-statement embeddings for the probing readouts
-    ({!Liger_eval.Probe}): for each statement id, the mean of every step
-    embedding H^e_{i,j} whose blended-trace step executes that statement,
-    over all traces the view exposes.  Returns [(sid, vector)] pairs in
-    statement-id order. *)
-let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) =
-  let tape = Autodiff.tape () in
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-  let tree_memo = Hashtbl.create 32 in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (tr : Common.enc_trace) ->
-      let mem, _ = encode_trace t tape ~view ~tree_memo ~stats tr in
-      List.iteri
-        (fun j h ->
-          let sid = tr.Common.steps.(j).Common.memo_key lsr 1 in
-          let v = Autodiff.value h in
-          match Hashtbl.find_opt tbl sid with
-          | Some (sum, n) ->
-              Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
-              Hashtbl.replace tbl sid (sum, n + 1)
-          | None -> Hashtbl.add tbl sid (Array.copy v, 1))
-        mem)
-    (Common.select_traces view ex);
-  Autodiff.discard tape;
-  Hashtbl.fold
-    (fun sid (sum, n) acc ->
-      (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ===== Batched encoding (flat Bigarray engine; see DESIGN.md) =====
+(* ===== Encoding (flat Bigarray engine; see DESIGN.md) =====
 
    One batched tape encodes a whole mini-batch: trace lanes across all
    examples run fusion + f3 in lockstep with length-masked padding,
@@ -282,13 +115,128 @@ let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) 
    as one level-packed forest, and f1/f2 pack every composite variable /
    program state in the batch into single padded recurrences.  Padded
    lanes/steps/slots carry exactly zero gradient (masked updates,
-   weight-0 losses), so results match the per-example path. *)
+   weight-0 losses), and every row is computed from its own inputs only,
+   so an example's results are bitwise the same alone or in any batch. *)
 
 type batch_encoding = {
   benc_prog : Batched.node;          (* G × d program embeddings *)
   benc_mem : Batched.node array;     (* maxM nodes of G × d: decoder memory slots *)
   benc_mem_mask : Tensor.t;          (* G × maxM slot validity *)
 }
+
+(* Final states of [cell] over ragged sequences run as lanes in lockstep:
+   lane [l] has [lengths.(l)] elements and [input v] is the input of step
+   [v] (any row for a lane already past its end, whose state the masked
+   update keeps).  A lane of length 0 ends at the initial state. *)
+let last_ragged cell btape ~lengths ~input =
+  let max_len = Array.fold_left Stdlib.max 0 lengths in
+  Rnn_cell.last_batch cell btape ~lanes:(Array.length lengths)
+    (List.init max_len (fun v ->
+         (input v, Some (Array.map (fun n -> if v < n then 1.0 else 0.0) lengths))))
+
+(* [intern tbl acc key v]: the dense id of [key]; on first sight it gets
+   the next id and [v] is consed onto [acc] (so [List.rev !acc] lists the
+   interned values in id order). *)
+let intern tbl acc key v =
+  match Hashtbl.find_opt tbl key with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl key i;
+      acc := v :: !acc;
+      i
+
+(** Embed variable values (token arrays) as the rows of one node: a
+    one-token value is its token's embedding, a longer one the final state
+    of [f1] over its tokens (Equation 3).  Values are deduplicated by
+    content, composites first.  Returns the node ([None] when [values] is
+    empty) and the row of each value. *)
+let embed_values embedding f1 btape (values : int array array) =
+  let comp_tbl = Hashtbl.create 64 and sing_tbl = Hashtbl.create 64 in
+  let comps = ref [] and sings = ref [] in
+  let slots =
+    Array.map
+      (fun tokens ->
+        if Array.length tokens = 1 then Either.Right (intern sing_tbl sings tokens.(0) tokens.(0))
+        else Either.Left (intern comp_tbl comps tokens tokens))
+      values
+  in
+  let comps = Array.of_list (List.rev !comps) and sings = Array.of_list (List.rev !sings) in
+  let f1_rows =
+    if comps = [||] then []
+    else
+      [
+        last_ragged f1 btape ~lengths:(Array.map Array.length comps) ~input:(fun v ->
+            Embedding_layer.embed_ids embedding btape
+              (Array.map (fun a -> if v < Array.length a then a.(v) else 0) comps));
+      ]
+  in
+  let sing_rows = if sings = [||] then [] else [ Embedding_layer.embed_ids embedding btape sings ] in
+  let n_comp = Array.length comps in
+  let rows = Array.map (function Either.Left c -> c | Either.Right s -> n_comp + s) slots in
+  match f1_rows @ sing_rows with
+  | [] -> (None, rows)
+  | [ x ] -> (Some x, rows)
+  | xs -> (Some (Batched.vstack btape xs), rows)
+
+(** The rows each group owns in the concatenation of groups of sizes
+    [lens]: group [g] owns rows [off_g .. off_g + lens.(g) - 1]. *)
+let segment_rows lens =
+  let off = ref 0 in
+  Array.map
+    (fun n ->
+      let rows = Array.init n (fun i -> !off + i) in
+      off := !off + n;
+      rows)
+    lens
+
+(** Decoder memory slots: slot [m] of example [g] is row [rows.(g).(m)] of
+    [all]; slots past an example's own count are padding (mask 0).  Every
+    example gets at least one slot. *)
+let memory_slots btape all (rows : int array array) =
+  let g_n = Array.length rows in
+  let max_m = Array.fold_left (fun acc r -> Stdlib.max acc (Array.length r)) 1 rows in
+  let mask = Tensor.zeros g_n max_m in
+  let slots =
+    Array.init max_m (fun m ->
+        Batched.gather_rows btape all
+          (Array.init g_n (fun g ->
+               if m < Array.length rows.(g) then begin
+                 Tensor.set mask g m 1.0;
+                 rows.(g).(m)
+               end
+               else 0)))
+  in
+  (slots, mask)
+
+(** The encoding of trace lanes run in lockstep: [steps.(j)] holds every
+    lane's state after step [j], lane [l] belongs to example [lane_ex.(l)]
+    and lasts [n_steps.(l)] steps.  The program embedding max-pools each
+    example's final lane states (an example without lanes gets a zero
+    row); the decoder memory is the flow of its lanes' steps, in (lane,
+    step) order (§5.1.2). *)
+let trace_encoding btape ~d ~g_n ~lane_ex ~n_steps ~(final : Batched.node option) steps =
+  let zeros () = Batched.zeros btape ~rows:g_n ~cols:d in
+  let benc_prog =
+    match final with
+    | Some h -> Batched.group_max btape h ~groups:lane_ex ~n_groups:g_n
+    | None -> zeros ()
+  in
+  let benc_mem, benc_mem_mask =
+    match steps with
+    | [] -> ([| zeros () |], Tensor.zeros g_n 1)
+    | _ ->
+        let l_n = Array.length lane_ex in
+        let rows = Array.make g_n [] in
+        for l = 0 to l_n - 1 do
+          for j = 0 to n_steps.(l) - 1 do
+            rows.(lane_ex.(l)) <- ((j * l_n) + l) :: rows.(lane_ex.(l))
+          done
+        done;
+        memory_slots btape (Batched.vstack btape steps)
+          (Array.map (fun r -> Array.of_list (List.rev r)) rows)
+  in
+  { benc_prog; benc_mem; benc_mem_mask }
 
 (* Post-order flatten a deduplicated batch of interned trees: children
    always get smaller indices than their parent. *)
@@ -311,375 +259,267 @@ let flatten_itrees (trees : Common.itree array) =
   let roots = Array.map go trees in
   (Array.of_list (List.rev !labels_rev), Array.of_list (List.rev !children_rev), roots)
 
+let new_stats () = { static_weight_sum = 0.0; fused_steps = 0 }
+
 let encode_batch t btape ~view ~stats (exs : Common.enc_example array) =
   let d = t.config.dim in
   let g_n = Array.length exs in
   if g_n = 0 then invalid_arg "Liger_model.encode_batch: empty batch";
-  (* Trace lanes, grouped by example in order (= unbatched memory order). *)
-  let lane_ex_rev = ref [] and lane_tr_rev = ref [] in
-  Array.iteri
-    (fun g ex ->
-      Array.iter
-        (fun tr ->
-          lane_ex_rev := g :: !lane_ex_rev;
-          lane_tr_rev := tr :: !lane_tr_rev)
-        (Common.select_traces view ex))
-    exs;
-  let lane_ex = Array.of_list (List.rev !lane_ex_rev) in
-  let lane_tr = Array.of_list (List.rev !lane_tr_rev) in
+  (* Trace lanes, grouped by example in order. *)
+  let lanes =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun g ex -> Array.map (fun tr -> (g, tr)) (Common.select_traces view ex))
+            exs))
+  in
+  let lane_ex = Array.map fst lanes and lane_tr = Array.map snd lanes in
   let l_n = Array.length lane_tr in
-  if l_n = 0 then
-    {
-      benc_prog = Batched.zeros btape ~rows:g_n ~cols:d;
-      benc_mem = [| Batched.zeros btape ~rows:g_n ~cols:d |];
-      benc_mem_mask = Tensor.zeros g_n 1;
-    }
+  let n_steps =
+    Array.map (fun (tr : Common.enc_trace) -> Array.length tr.Common.steps) lane_tr
+  in
+  let max_s = Array.fold_left Stdlib.max 0 n_steps in
+  let n_conc =
+    Array.map
+      (fun tr -> if t.config.use_dynamic then Common.select_concrete view tr else 0)
+      lane_tr
+  in
+  let max_c = Array.fold_left Stdlib.max 0 n_conc in
+  if l_n = 0 then trace_encoding btape ~d ~g_n ~lane_ex ~n_steps ~final:None []
   else begin
-    let n_steps =
-      Array.map (fun (tr : Common.enc_trace) -> Array.length tr.Common.steps) lane_tr
-    in
-    let max_s = Array.fold_left Stdlib.max 0 n_steps in
-    let n_conc =
-      Array.map
-        (fun tr -> if t.config.use_dynamic then Common.select_concrete view tr else 0)
-        lane_tr
-    in
-    let max_c = Array.fold_left Stdlib.max 0 n_conc in
-    (* --- static: batch-wide tree dedup + one level-packed forest --- *)
-    let tree_roots, tree_of =
-      if (not t.config.use_static) || max_s = 0 then (None, [||])
-      else begin
-        let memo = Hashtbl.create 64 in
-        let trees_rev = ref [] and n_trees = ref 0 in
-        let tree_of =
-          Array.init l_n (fun l ->
-              Array.map
-                (fun (step : Common.enc_step) ->
-                  match Hashtbl.find_opt memo step.Common.memo_key with
-                  | Some i -> i
-                  | None ->
-                      let i = !n_trees in
-                      incr n_trees;
-                      Hashtbl.add memo step.Common.memo_key i;
-                      trees_rev := step.Common.tree :: !trees_rev;
-                      i)
-                lane_tr.(l).Common.steps)
-        in
-        let trees = Array.of_list (List.rev !trees_rev) in
-        let labels, children, roots = flatten_itrees trees in
-        let embed ids = Embedding_layer.embed_ids t.embedding btape ids in
-        let roots_node =
-          Treelstm.embed_forest_flat (Option.get t.treelstm) btape ~embed ~labels
-            ~children ~roots
-        in
-        (Some roots_node, tree_of)
-      end
-    in
-    (* --- dynamic: pack every distinct program state / composite variable.
-       States are deduplicated batch-wide by content (consecutive steps and
-       sibling executions repeat most variable values); identical states
-       share one f2 lane and their gradients sum through the gather, which
-       is the per-state sum up to float reassociation. --- *)
-    let state_memo : (int array array, int) Hashtbl.t = Hashtbl.create 256 in
-    let state_vars_rev = ref [] and n_states = ref 0 in
-    let state_idx =
-      Array.init l_n (fun l ->
-          Array.init n_steps.(l) (fun j ->
-              Array.init n_conc.(l) (fun k ->
-                  let vt = lane_tr.(l).Common.steps.(j).Common.var_tokens.(k) in
-                  match Hashtbl.find_opt state_memo vt with
-                  | Some s -> s
-                  | None ->
-                      let s = !n_states in
-                      incr n_states;
-                      Hashtbl.add state_memo vt s;
-                      state_vars_rev := vt :: !state_vars_rev;
-                      s)))
-    in
-    let state_vars = Array.of_list (List.rev !state_vars_rev) in
-    let s_n = !n_states in
-    let state_vecs =
-      if (not t.config.use_dynamic) || s_n = 0 then None
-      else begin
-        let f1 = Option.get t.f1 and f2 = Option.get t.f2 in
-        (* variable slots: singletons embed directly, composites run f1;
-           both deduplicated by content like the states above *)
-        let comp_memo : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-        let sing_memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let f1_tokens_rev = ref [] and f1_n = ref 0 in
-        let sing_rev = ref [] and sing_n = ref 0 in
-        let var_rows =
-          Array.map
-            (fun (vars : int array array) ->
-              Array.map
-                (fun (tokens : int array) ->
-                  if Array.length tokens = 1 then
-                    match Hashtbl.find_opt sing_memo tokens.(0) with
-                    | Some q -> (true, q)
-                    | None ->
-                        let q = !sing_n in
-                        incr sing_n;
-                        Hashtbl.add sing_memo tokens.(0) q;
-                        sing_rev := tokens.(0) :: !sing_rev;
-                        (true, q)
-                  else
-                    match Hashtbl.find_opt comp_memo tokens with
-                    | Some f -> (false, f)
-                    | None ->
-                        let f = !f1_n in
-                        incr f1_n;
-                        Hashtbl.add comp_memo tokens f;
-                        f1_tokens_rev := tokens :: !f1_tokens_rev;
-                        (false, f))
-                vars)
-            state_vars
-        in
-        let f1_tokens = Array.of_list (List.rev !f1_tokens_rev) in
-        let sing_ids = Array.of_list (List.rev !sing_rev) in
-        let f1_final =
-          if !f1_n = 0 then None
-          else begin
-            let max_t =
-              Array.fold_left (fun acc a -> Stdlib.max acc (Array.length a)) 0 f1_tokens
-            in
-            let steps =
-              List.init max_t (fun ti ->
-                  let ids =
-                    Array.map
-                      (fun a -> if ti < Array.length a then a.(ti) else 0)
-                      f1_tokens
-                  in
-                  let mask =
-                    Array.map
-                      (fun a -> if ti < Array.length a then 1.0 else 0.0)
-                      f1_tokens
-                  in
-                  (Embedding_layer.embed_ids t.embedding btape ids, Some mask))
-            in
-            Some (Rnn_cell.last_batch f1 btape ~lanes:!f1_n steps)
-          end
-        in
-        let sing =
-          if !sing_n = 0 then None
-          else Some (Embedding_layer.embed_ids t.embedding btape sing_ids)
-        in
-        let var_src, sing_off =
-          match (f1_final, sing) with
-          | Some f, Some s -> (Some (Batched.vstack btape [ f; s ]), !f1_n)
-          | Some f, None -> (Some f, 0)
-          | None, Some s -> (Some s, 0)
-          | None, None -> (None, 0)
-        in
-        (* f2 over padded per-state variable sequences (fixed order) *)
-        let vecs =
-          match var_src with
-          | None -> Rnn_cell.init_state_batch f2 btape ~lanes:s_n
-          | Some src ->
-              let max_v =
-                Array.fold_left (fun acc v -> Stdlib.max acc (Array.length v)) 0 state_vars
-              in
-              let steps =
-                List.init max_v (fun v ->
-                    let idx =
-                      Array.map
-                        (fun rows ->
-                          if v < Array.length rows then
-                            match rows.(v) with
-                            | true, i -> sing_off + i
-                            | false, i -> i
-                          else 0)
-                        var_rows
-                    in
-                    let mask =
-                      Array.map
-                        (fun rows -> if v < Array.length rows then 1.0 else 0.0)
-                        var_rows
-                    in
-                    (Batched.gather_rows btape src idx, Some mask))
-              in
-              Rnn_cell.last_batch f2 btape ~lanes:s_n steps
-        in
-        Some vecs
-      end
-    in
-    (* --- fusion + trace recurrence f3, trace lanes in lockstep --- *)
-    let k_static = if t.config.use_static && max_s > 0 then 1 else 0 in
-    let k_dynamic = if state_vecs = None then 0 else max_c in
-    let k_total = k_static + k_dynamic in
-    let h_trace = ref (Rnn_cell.init_state_batch t.f3 btape ~lanes:l_n) in
-    let mem_nodes_rev = ref [] in
-    for j = 0 to max_s - 1 do
-      let step_valid l = j < n_steps.(l) in
-      let step_mask = Array.init l_n (fun l -> if step_valid l then 1.0 else 0.0) in
-      let cands_rev = ref [] and valid_rev = ref [] in
-      if k_static = 1 then begin
-        let idx = Array.init l_n (fun l -> if step_valid l then tree_of.(l).(j) else 0) in
-        cands_rev := Batched.gather_rows btape (Option.get tree_roots) idx :: !cands_rev;
-        valid_rev := Array.init l_n step_valid :: !valid_rev
-      end;
-      (match state_vecs with
-      | Some sv ->
-          for k = 0 to k_dynamic - 1 do
-            let ok l = step_valid l && k < n_conc.(l) in
-            let idx = Array.init l_n (fun l -> if ok l then state_idx.(l).(j).(k) else 0) in
-            cands_rev := Batched.gather_rows btape sv idx :: !cands_rev;
-            valid_rev := Array.init l_n ok :: !valid_rev
-          done
-      | None -> ());
-      let cands = Array.of_list (List.rev !cands_rev) in
-      let valid = Array.of_list (List.rev !valid_rev) in
-      if k_total = 0 then invalid_arg "Liger_model.encode_batch: no feature vectors";
-      let cmask = Tensor.zeros l_n k_total in
-      Array.iteri
-        (fun k col ->
-          Array.iteri (fun l ok -> if ok then Tensor.set cmask l k 1.0) col)
-        valid;
-      let n_valid = Array.make l_n 0 in
-      Array.iter
-        (fun col -> Array.iteri (fun l ok -> if ok then n_valid.(l) <- n_valid.(l) + 1) col)
-        valid;
-      let h_j =
-        if k_total = 1 then cands.(0)
-        else
-          match t.fusion with
-          | Some att when j > 0 && t.config.use_attention ->
-              let w, fused = Attention.fuse_batch att btape ~q:!h_trace ~mask:cmask cands in
-              if t.config.use_static then begin
-                let wv = Batched.value w in
-                for l = 0 to l_n - 1 do
-                  if step_valid l && n_valid.(l) > 1 then begin
-                    stats.static_weight_sum <-
-                      stats.static_weight_sum +. Tensor.get wv l 0;
-                    stats.fused_steps <- stats.fused_steps + 1
-                  end
-                done
-              end;
-              fused
-          | _ -> snd (Attention.fuse_uniform_batch btape ~mask:cmask cands)
+  (* --- static: batch-wide tree dedup + one level-packed forest --- *)
+  let tree_roots, tree_of =
+    if (not t.config.use_static) || max_s = 0 then (None, [||])
+    else begin
+      let memo = Hashtbl.create 64 and trees_rev = ref [] in
+      let tree_of =
+        Array.map
+          (fun (tr : Common.enc_trace) ->
+            Array.map
+              (fun (step : Common.enc_step) ->
+                intern memo trees_rev step.Common.memo_key step.Common.tree)
+              tr.Common.steps)
+          lane_tr
       in
-      h_trace := Rnn_cell.step_batch ~mask:step_mask t.f3 btape ~h:!h_trace ~x:h_j;
-      mem_nodes_rev := !h_trace :: !mem_nodes_rev
-    done;
-    (* program embedding: max over each example's trace finals; an example
-       with no traces gets an exactly-zero row (matches the zeros const). *)
-    let benc_prog = Batched.group_max btape !h_trace ~groups:lane_ex ~n_groups:g_n in
-    (* decoder memory: per example, its lanes' steps in (trace, step) order *)
-    let benc_mem, benc_mem_mask =
-      match List.rev !mem_nodes_rev with
-      | [] -> ([| Batched.zeros btape ~rows:g_n ~cols:d |], Tensor.zeros g_n 1)
-      | mem_nodes ->
-          let mem_all = Batched.vstack btape mem_nodes in
-          (* row of (lane l, step j) in [mem_all] is [j * l_n + l] *)
-          let slots_rev = Array.make g_n [] in
-          for l = 0 to l_n - 1 do
-            for j = 0 to n_steps.(l) - 1 do
-              slots_rev.(lane_ex.(l)) <- ((j * l_n) + l) :: slots_rev.(lane_ex.(l))
-            done
-          done;
-          let slots = Array.map (fun ls -> Array.of_list (List.rev ls)) slots_rev in
-          let max_m =
-            Stdlib.max 1
-              (Array.fold_left (fun acc a -> Stdlib.max acc (Array.length a)) 0 slots)
-          in
-          let mask = Tensor.zeros g_n max_m in
-          let slot_nodes =
-            Array.init max_m (fun m ->
-                let idx =
-                  Array.init g_n (fun g ->
-                      if m < Array.length slots.(g) then begin
-                        Tensor.set mask g m 1.0;
-                        slots.(g).(m)
-                      end
-                      else 0)
-                in
-                Batched.gather_rows btape mem_all idx)
-          in
-          (slot_nodes, mask)
+      let labels, children, roots = flatten_itrees (Array.of_list (List.rev !trees_rev)) in
+      let embed ids = Embedding_layer.embed_ids t.embedding btape ids in
+      ( Some
+          (Treelstm.embed_forest_flat (Option.get t.treelstm) btape ~embed ~labels ~children
+             ~roots),
+        tree_of )
+    end
+  in
+  (* --- dynamic: pack every distinct program state.  States are
+     deduplicated batch-wide by content (consecutive steps and sibling
+     executions repeat most variable values); identical states share one
+     f2 lane and their gradients sum through the gather. --- *)
+  let state_tbl = Hashtbl.create 256 and states_rev = ref [] in
+  let state_idx =
+    Array.init l_n (fun l ->
+        Array.init n_steps.(l) (fun j ->
+            Array.init n_conc.(l) (fun k ->
+                let vars = lane_tr.(l).Common.steps.(j).Common.var_tokens.(k) in
+                intern state_tbl states_rev vars vars)))
+  in
+  let state_vars = Array.of_list (List.rev !states_rev) in
+  let state_vecs =
+    if (not t.config.use_dynamic) || state_vars = [||] then None
+    else begin
+      let src, rows =
+        embed_values t.embedding (Option.get t.f1) btape
+          (Array.concat (Array.to_list state_vars))
+      in
+      (* f2 over each state's variables in their fixed order *)
+      let var_row = segment_rows (Array.map Array.length state_vars) in
+      Some
+        (last_ragged (Option.get t.f2) btape
+           ~lengths:(Array.map Array.length state_vars)
+           ~input:(fun v ->
+             Batched.gather_rows btape (Option.get src)
+               (Array.mapi
+                  (fun s vars -> if v < Array.length vars then rows.(var_row.(s).(v)) else 0)
+                  state_vars)))
+    end
+  in
+  (* --- fusion + trace recurrence f3, trace lanes in lockstep --- *)
+  let k_static = if t.config.use_static && max_s > 0 then 1 else 0 in
+  let k_dynamic = if state_vecs = None then 0 else max_c in
+  let k_total = k_static + k_dynamic in
+  let h_trace = ref (Rnn_cell.init_state_batch t.f3 btape ~lanes:l_n) in
+  let mem_nodes_rev = ref [] in
+  for j = 0 to max_s - 1 do
+    let step_valid l = j < n_steps.(l) in
+    let step_mask = Array.init l_n (fun l -> if step_valid l then 1.0 else 0.0) in
+    (* candidate k of lane l: (row index, valid) *)
+    let column valid row = (Array.init l_n (fun l -> if valid l then row l else 0), valid) in
+    let columns =
+      (if k_static = 1 then [ (Option.get tree_roots, column step_valid (fun l -> tree_of.(l).(j))) ]
+       else [])
+      @ List.init k_dynamic (fun k ->
+            ( Option.get state_vecs,
+              column
+                (fun l -> step_valid l && k < n_conc.(l))
+                (fun l -> state_idx.(l).(j).(k)) ))
     in
-    { benc_prog; benc_mem; benc_mem_mask }
+    if k_total = 0 then invalid_arg "Liger_model.encode_batch: no feature vectors";
+    let cands =
+      Array.of_list (List.map (fun (src, (idx, _)) -> Batched.gather_rows btape src idx) columns)
+    in
+    let cmask = Tensor.zeros l_n k_total in
+    let n_valid = Array.make l_n 0 in
+    List.iteri
+      (fun k (_, (_, valid)) ->
+        for l = 0 to l_n - 1 do
+          if valid l then begin
+            Tensor.set cmask l k 1.0;
+            n_valid.(l) <- n_valid.(l) + 1
+          end
+        done)
+      columns;
+    let h_j =
+      if k_total = 1 then cands.(0)
+      else
+        match t.fusion with
+        | Some att when j > 0 && t.config.use_attention ->
+            let w, fused = Attention.fuse_batch att btape ~q:!h_trace ~mask:cmask cands in
+            if t.config.use_static then begin
+              let wv = Batched.value w in
+              for l = 0 to l_n - 1 do
+                if step_valid l && n_valid.(l) > 1 then begin
+                  stats.static_weight_sum <- stats.static_weight_sum +. Tensor.get wv l 0;
+                  stats.fused_steps <- stats.fused_steps + 1
+                end
+              done
+            end;
+            fused
+        | _ -> snd (Attention.fuse_uniform_batch btape ~mask:cmask cands)
+    in
+    h_trace := Rnn_cell.step_batch ~mask:step_mask t.f3 btape ~h:!h_trace ~x:h_j;
+    mem_nodes_rev := !h_trace :: !mem_nodes_rev
+  done;
+  trace_encoding btape ~d ~g_n ~lane_ex ~n_steps ~final:(Some !h_trace)
+    (List.rev !mem_nodes_rev)
   end
 
-(** Batched training loss over a mini-batch: per-example losses as a [G×1]
-    node on [btape], plus fusion statistics.  Per-lane results match {!loss}
-    on each example up to float reassociation. *)
-let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
-  let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-  let enc = encode_batch t btape ~view ~stats exs in
-  let losses =
-    match (t.task, t.decoder, t.classifier) with
-    | Naming, Some dec, _ ->
-        Decoder.loss_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
-          ~program_embedding:enc.benc_prog
-          ~target_ids:(Array.map (fun (ex : Common.enc_example) -> ex.Common.target_ids) exs)
-    | Classify _, _, Some cls ->
-        let logits = Linear.forward_batch cls btape enc.benc_prog in
-        let targets =
-          Array.map
-            (fun (ex : Common.enc_example) ->
-              match ex.Common.target_ids with
-              | [ c ] -> c
-              | _ ->
-                  invalid_arg
-                    "Liger_model.loss_batch: classification target must be one class")
-            exs
-        in
-        let weights = Array.make (Array.length exs) 1.0 in
-        fst (Batched.softmax_xent_rows btape logits ~targets ~weights)
-    | _ -> invalid_arg "Liger_model.loss_batch: task/head mismatch"
-  in
-  (losses, stats)
+(* ===== Heads, shared by every model of the zoo ===== *)
 
-(** Batched program embeddings: one forward over a [G]-lane batch, one
-    vector per example.  This is the serving entry point ([liger serve]):
-    the batched forward deduplicates trees/states and gathers exact rows,
-    so each lane's vector is bitwise identical whether the example is
-    embedded alone or inside a larger batch — the property the request
-    coalescer's equality test pins down. *)
+(** A model's output for one example. *)
+type prediction = Subtokens of string list | Class of int
+
+(** Per-example losses of an encoded batch as a [G×1] node: the
+    teacher-forced decoder NLL of [target_ids ex] for naming, the
+    cross-entropy of the example's single target id for classification. *)
+let head_losses btape ~decoder ~classifier enc ~target_ids (exs : Common.enc_example array) =
+  match (decoder, classifier) with
+  | Some dec, _ ->
+      Decoder.loss_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
+        ~program_embedding:enc.benc_prog ~target_ids:(Array.map target_ids exs)
+  | None, Some cls ->
+      let logits = Linear.forward_batch cls btape enc.benc_prog in
+      let targets =
+        Array.map
+          (fun (ex : Common.enc_example) ->
+            match ex.Common.target_ids with
+            | [ c ] -> c
+            | _ -> invalid_arg "head_losses: classification target must be one class")
+          exs
+      in
+      fst
+        (Batched.softmax_xent_rows btape logits ~targets
+           ~weights:(Array.make (Array.length exs) 1.0))
+  | None, None -> invalid_arg "head_losses: model without a head"
+
+(** Greedy predictions of an encoded batch: decoded sub-tokens (named
+    through [vocab]) or the argmax class. *)
+let head_predictions btape ~decoder ~classifier ~vocab enc =
+  match (decoder, classifier) with
+  | Some dec, _ ->
+      Decoder.decode_batch dec btape ~memory:enc.benc_mem ~memory_mask:enc.benc_mem_mask
+        ~program_embedding:enc.benc_prog
+      |> Array.map (fun ids -> Subtokens (List.map (Vocab.name vocab) ids))
+  | None, Some cls ->
+      let logits = Linear.forward_batch cls btape enc.benc_prog in
+      Array.init (Batched.lanes logits) (fun g -> Class (Tensor.argmax (Batched.row_value logits g)))
+  | None, None -> invalid_arg "head_predictions: model without a head"
+
+(** [with_tape f] runs [f] on a fresh tape and releases it afterwards
+    (inference: [f] copies out what it returns). *)
+let with_tape f =
+  let btape = Batched.tape () in
+  Fun.protect ~finally:(fun () -> Batched.discard btape) (fun () -> f btape)
+
+(** Mean vector per statement id, in id order: [sids.(m)] is the statement
+    memory slot [m] executes and [vec m] that slot's vector. *)
+let mean_by_statement sids vec =
+  let tbl = Hashtbl.create 16 in
+  Array.iteri
+    (fun m sid ->
+      let v = vec m in
+      match Hashtbl.find_opt tbl sid with
+      | Some (sum, n) ->
+          Array.iteri (fun i x -> sum.(i) <- sum.(i) +. x) v;
+          Hashtbl.replace tbl sid (sum, n + 1)
+      | None -> Hashtbl.add tbl sid (Array.copy v, 1))
+    sids;
+  Hashtbl.fold
+    (fun sid (sum, n) acc -> (sid, Array.map (fun x -> x /. float_of_int n) sum) :: acc)
+    tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* ===== LiGer entry points ===== *)
+
+(** Training loss over a mini-batch: per-example losses as a [G×1] node
+    on [btape]. *)
+let loss_batch t btape ?(view = Common.full_view) (exs : Common.enc_example array) =
+  let enc = encode_batch t btape ~view ~stats:(new_stats ()) exs in
+  head_losses btape ~decoder:t.decoder ~classifier:t.classifier enc
+    ~target_ids:(fun (ex : Common.enc_example) -> ex.Common.target_ids)
+    exs
+
+(** Program embeddings: one forward over a [G]-lane batch, one vector per
+    example.  This is the serving entry point ([liger serve]): the forward
+    deduplicates trees/states and gathers exact rows, so each lane's
+    vector is bitwise identical whether the example is embedded alone or
+    inside a larger batch — the property the request coalescer's equality
+    test pins down. *)
 let embed_programs t ?(view = Common.full_view) (exs : Common.enc_example array) =
   if Array.length exs = 0 then [||]
-  else begin
-    let btape = Batched.tape () in
-    let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-    let enc = encode_batch t btape ~view ~stats exs in
-    let out =
-      Array.init (Array.length exs) (fun g -> Array.copy (Batched.row_value enc.benc_prog g))
-    in
-    Batched.discard btape;
-    out
-  end
+  else
+    with_tape (fun btape ->
+        let enc = encode_batch t btape ~view ~stats:(new_stats ()) exs in
+        Array.init (Array.length exs) (fun g -> Batched.row_value enc.benc_prog g))
 
-(** Batched greedy naming prediction; one id list per example. *)
-let predict_name_ids_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  match t.decoder with
-  | None -> invalid_arg "Liger_model.predict_name_ids_batch: not a naming model"
-  | Some dec ->
-      if Array.length exs = 0 then [||]
-      else begin
-        let btape = Batched.tape () in
-        let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-        let enc = encode_batch t btape ~view ~stats exs in
-        let out =
-          Decoder.decode_batch dec btape ~memory:enc.benc_mem
-            ~memory_mask:enc.benc_mem_mask ~program_embedding:enc.benc_prog
-        in
-        Batched.discard btape;
-        out
-      end
+(** Greedy predictions, one per example: decoded sub-tokens for naming,
+    the argmax class for classification. *)
+let predict_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  if Array.length exs = 0 then [||]
+  else
+    with_tape (fun btape ->
+        head_predictions btape ~decoder:t.decoder ~classifier:t.classifier ~vocab:t.vocab
+          (encode_batch t btape ~view ~stats:(new_stats ()) exs))
 
-(** Batched class prediction; one class id per example. *)
-let predict_class_batch t ?(view = Common.full_view) (exs : Common.enc_example array) =
-  match t.classifier with
-  | None -> invalid_arg "Liger_model.predict_class_batch: not a classification model"
-  | Some cls ->
-      if Array.length exs = 0 then [||]
-      else begin
-        let btape = Batched.tape () in
-        let stats = { static_weight_sum = 0.0; fused_steps = 0 } in
-        let enc = encode_batch t btape ~view ~stats exs in
-        let logits = Linear.forward_batch cls btape enc.benc_prog in
-        let out =
-          Array.init (Array.length exs) (fun g -> Tensor.argmax (Batched.row_value logits g))
-        in
-        Batched.discard btape;
-        out
-      end
+(** Fusion statistics of one forward over [exs] (§6.1.2's attention
+    inspection). *)
+let fusion_stats t ?(view = Common.full_view) (exs : Common.enc_example array) =
+  with_tape (fun btape ->
+      let stats = new_stats () in
+      ignore (encode_batch t btape ~view ~stats exs);
+      stats)
+
+(** Frozen per-statement embeddings for the probing readouts
+    ({!Liger_eval.Probe}): for each statement id, the mean of every step
+    embedding H^e_{i,j} whose blended-trace step executes that statement,
+    over all traces the view exposes.  Returns [(sid, vector)] pairs in
+    statement-id order. *)
+let statement_embeddings t ?(view = Common.full_view) (ex : Common.enc_example) =
+  with_tape (fun btape ->
+      let enc = encode_batch t btape ~view ~stats:(new_stats ()) [| ex |] in
+      (* memory slot m is the m-th (trace, step) in order *)
+      let sids =
+        Array.concat
+          (List.map
+             (fun (tr : Common.enc_trace) ->
+               Array.map (fun (s : Common.enc_step) -> s.Common.memo_key lsr 1) tr.Common.steps)
+             (Array.to_list (Common.select_traces view ex)))
+      in
+      mean_by_statement sids (fun m -> Batched.row_value enc.benc_mem.(m) 0))

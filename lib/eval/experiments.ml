@@ -136,10 +136,7 @@ let measure_attention model view examples =
   let sum = ref 0.0 and n = ref 0 in
   List.iter
     (fun ex ->
-      let tape = Autodiff.tape () in
-      let _, _, stats = Liger_model.encode model tape ~view ex in
-      Autodiff.discard tape;
-      let w = Liger_model.mean_static_weight stats in
+      let w = Liger_model.mean_static_weight (Liger_model.fusion_stats model ~view [| ex |]) in
       if Float.is_finite w then begin
         sum := !sum +. w;
         incr n

@@ -29,14 +29,14 @@ type embedder = {
 let of_liger ?view (model : Liger_model.t) =
   {
     e_name = "LiGer";
-    e_program = (fun ex -> Liger_model.embed_program model ?view ex);
+    e_program = (fun ex -> (Liger_model.embed_programs model ?view [| ex |]).(0));
     e_statements = (fun ex -> Liger_model.statement_embeddings model ?view ex);
   }
 
 let of_dypro ?view (model : Liger_baselines.Dypro.t) =
   {
     e_name = "DYPRO";
-    e_program = (fun ex -> Liger_baselines.Dypro.embed_program model ?view ex);
+    e_program = (fun ex -> (Liger_baselines.Dypro.embed_programs model ?view [| ex |]).(0));
     e_statements = (fun ex -> Liger_baselines.Dypro.statement_embeddings model ?view ex);
   }
 
@@ -63,24 +63,25 @@ let fit_readout ?(epochs = 40) ?(lr = 0.02) rng ~classes train =
   let lin = Linear.create store "probe" ~dim_in ~dim_out:classes in
   let opt = Optimizer.adam ~lr () in
   let arr = Array.of_list train in
+  let logits btape v =
+    Linear.forward_batch lin btape (Batched.const_arr btape ~rows:1 ~cols:dim_in v)
+  in
   for _ = 1 to epochs do
     Rng.shuffle rng arr;
+    (* one Adam step per probe example *)
     Array.iter
       (fun (v, c) ->
-        let tape = Autodiff.tape () in
-        let logits = Linear.forward lin tape (Autodiff.const tape v) in
-        let loss = fst (Autodiff.softmax_cross_entropy tape logits c) in
-        Autodiff.backward tape loss;
+        let btape = Batched.tape () in
+        let loss, _ =
+          Batched.softmax_xent_rows btape (logits btape v) ~targets:[| c |] ~weights:[| 1.0 |]
+        in
+        Batched.backward btape loss;
         let norm = Optimizer.clip_grads store ~max_norm:5.0 in
         if Float.is_finite norm then Optimizer.step opt store)
       arr
   done;
   fun v ->
-    let tape = Autodiff.tape () in
-    let logits = Linear.forward lin tape (Autodiff.const tape v) in
-    let c = Tensor.argmax (Autodiff.value logits) in
-    Autodiff.discard tape;
-    c
+    Liger_model.with_tape (fun btape -> Tensor.argmax (Batched.row_value (logits btape v) 0))
 
 type row = {
   r_task : Probing.task;

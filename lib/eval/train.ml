@@ -13,28 +13,44 @@ module Obs = Liger_obs.Obs
 module Dynamics = Liger_obs.Dynamics
 module Health = Liger_obs.Health
 
-type prediction = Subtokens of string list | Class of int
+type prediction = Liger_model.prediction = Subtokens of string list | Class of int
 
-(** Optional mini-batch hooks (the flat-Bigarray batched engine).  When
-    present and [options.batch_size > 1], {!fit} takes one optimizer step
-    per chunk on the summed-then-averaged per-example losses, and
-    {!predictions} runs chunked batched forward passes. *)
+(** A model's hooks into the batched engine: the per-example losses of a
+    chunk of [G] examples as a [G×1] node, and one prediction per
+    example. *)
 type batched = {
   train_loss_batch : Batched.tape -> Common.enc_example array -> Batched.node;
-      (* G examples -> G×1 per-example losses *)
   predict_batch : Common.enc_example array -> prediction array;
 }
 
 type model = {
   name : string;
   store : Param.store;
-  train_loss : Autodiff.tape -> Common.enc_example -> Autodiff.node;
-  predict : Common.enc_example -> prediction;
+  train_loss : Batched.tape -> Common.enc_example -> Batched.node;
+      (* [train_loss_batch] on a one-lane chunk, for the benchmark's
+         training replay; nothing in the library calls it *)
   batched : batched option;
-  embed : (Common.enc_example -> float array) option;
+      (* always [Some] ({!make} is the constructor; read it with {!hooks});
+         an option only because the benchmark's replay reads it so *)
+  embed : (Common.enc_example array -> float array array) option;
       (* program-embedding extractor; enables the dynamics drift probe
          (models without a single-vector embedding leave it [None]) *)
 }
+
+(** Wrap a model's batched hooks as a {!model}. *)
+let make ~name ~store ?embed ~loss_batch ~predict_batch () =
+  {
+    name;
+    store;
+    train_loss = (fun tape ex -> loss_batch tape [| ex |]);
+    batched = Some { train_loss_batch = loss_batch; predict_batch };
+    embed;
+  }
+
+let hooks model =
+  match model.batched with
+  | Some b -> b
+  | None -> invalid_arg ("Train: model without batched hooks: " ^ model.name)
 
 type options = {
   epochs : int;
@@ -42,7 +58,7 @@ type options = {
   clip : float;
   log : bool;
   eval_every : int;  (* validate every k epochs (and always the last one) *)
-  batch_size : int;  (* > 1 uses the batched hooks when the model has them *)
+  batch_size : int;  (* examples per chunk: one optimizer step per chunk *)
 }
 
 let default_options =
@@ -77,29 +93,19 @@ let chunk_list n l =
   in
   go 0 []
 
-(** Prediction/gold pairs over a split, in input order.  Per-example
-    predictions are independent forward passes (each builds and discards
-    its own tape) run on the {!Liger_parallel.Parallel} pool; with
-    [?batch > 1] and a model that has batched hooks, chunks of [batch]
-    examples run one batched forward pass each instead. *)
+(** Prediction/gold pairs over a split, in input order.  Chunks of
+    [batch] examples run one forward pass each (each builds and discards
+    its own tape) on the {!Liger_parallel.Parallel} pool. *)
 let predictions ?(batch = 1) model examples =
   Obs.Span.with_ ~name:"train.predictions"
     ~args:(fun () ->
       [ ("model", model.name); ("n", string_of_int (List.length examples)) ])
   @@ fun () ->
-  match model.batched with
-  | Some b when batch > 1 ->
-      chunk_list batch examples
-      |> Liger_parallel.Parallel.map_list (fun chunk ->
-             Array.to_list
-               (Array.map2
-                  (fun p ex -> (p, gold_of ex))
-                  (b.predict_batch chunk) chunk))
-      |> List.concat
-  | _ ->
-      Liger_parallel.Parallel.map_list
-        (fun (ex : Common.enc_example) -> (model.predict ex, gold_of ex))
-        examples
+  let b = hooks model in
+  chunk_list (Stdlib.max 1 batch) examples
+  |> Liger_parallel.Parallel.map_list (fun chunk ->
+         Array.to_list (Array.map2 (fun p ex -> (p, gold_of ex)) (b.predict_batch chunk) chunk))
+  |> List.concat
 
 (** The scalar score used for model selection: sub-token F1 for naming,
     accuracy for classification. *)
@@ -118,6 +124,25 @@ let score ?batch model examples =
   | [], cs -> Metrics.accuracy cs
   | ns, _ -> (Metrics.name_prf ns).Metrics.f1
 
+(** The share of padded trace steps in a chunk: a batched forward runs
+    every trace of the chunk for as many steps as its longest one, so of
+    [longest × traces] step slots, those past a trace's own end are
+    padding.  [0.0] for a chunk without traces. *)
+let pad_share (chunk : Common.enc_example array) =
+  let steps = ref 0 and traces = ref 0 and longest = ref 0 in
+  Array.iter
+    (fun (ex : Common.enc_example) ->
+      Array.iter
+        (fun (tr : Common.enc_trace) ->
+          let len = Array.length tr.Common.steps in
+          steps := !steps + len;
+          incr traces;
+          longest := Stdlib.max !longest len)
+        ex.Common.traces)
+    chunk;
+  let slots = !longest * !traces in
+  if slots = 0 then 0.0 else 1.0 -. (float_of_int !steps /. float_of_int slots)
+
 type history = {
   train_losses : float list;  (* mean loss per epoch *)
   valid_scores : float list;
@@ -132,6 +157,8 @@ let fit_inner ~options rng model ~train ~valid =
   Obs.Span.with_ ~name:"train.fit" ~args:(fun () -> [ ("model", model.name) ])
   @@ fun () ->
   let opt = Optimizer.adam ~lr:options.lr () in
+  let b = hooks model in
+  let bs = Stdlib.max 1 options.batch_size in
   let examples = Array.of_list train in
   let vacuous = valid = [] in
   if vacuous then
@@ -162,7 +189,7 @@ let fit_inner ~options rng model ~train ~valid =
   let observe_probe () =
     match model.embed with
     | Some embed when Dynamics.on () && Array.length probe >= 2 ->
-        Dynamics.observe_embeddings ~id:model.name (Array.map embed probe)
+        Dynamics.observe_embeddings ~id:model.name (embed probe)
     | _ -> ()
   in
   (* leave a breadcrumb per firing health rule so a postmortem shows when
@@ -203,42 +230,30 @@ let fit_inner ~options rng model ~train ~valid =
                 model.name epoch)
       end
     in
-    (match model.batched with
-    | Some b when options.batch_size > 1 ->
-        (* one Adam step per chunk on the mean of the per-example losses;
-           [total] still accumulates per-example losses so the reported
-           mean loss has the same meaning as the per-example path *)
-        let n = Array.length examples in
-        let bs = options.batch_size in
-        let off = ref 0 in
-        while !off < n do
-          let len = Stdlib.min bs (n - !off) in
-          let chunk = Array.sub examples !off len in
-          off := !off + len;
-          let btape = Batched.tape () in
-          let per_ex = b.train_loss_batch btape chunk in
-          Obs.Metrics.gauge "train.tape_nodes" (float_of_int (Batched.length btape));
-          let v = Batched.value per_ex in
-          for g = 0 to len - 1 do
-            total := !total +. Tensor.get v g 0
-          done;
-          let mean =
-            Batched.scale btape
-              (1.0 /. float_of_int len)
-              (Batched.sum_all btape per_ex)
-          in
-          Batched.backward btape mean;
-          clip_and_step ()
-        done
-    | _ ->
-        Array.iter
-          (fun ex ->
-            let tape = Autodiff.tape () in
-            let loss = model.train_loss tape ex in
-            total := !total +. Autodiff.scalar_value loss;
-            Autodiff.backward tape loss;
-            clip_and_step ())
-          examples);
+    (* one Adam step per chunk on the mean of its per-example losses (a
+       chunk of one is one step on that example's loss); [total] sums the
+       per-example losses, so the reported mean loss does not depend on
+       the chunk size *)
+    let n = Array.length examples in
+    let off = ref 0 in
+    while !off < n do
+      let len = Stdlib.min bs (n - !off) in
+      let chunk = Array.sub examples !off len in
+      off := !off + len;
+      let btape = Batched.tape () in
+      let per_ex = b.train_loss_batch btape chunk in
+      if Obs.Metrics.enabled () then begin
+        Obs.Metrics.gauge "train.tape_nodes" (float_of_int (Batched.length btape));
+        Obs.Metrics.gauge "train.pad_share" (pad_share chunk)
+      end;
+      let v = Batched.value per_ex in
+      for g = 0 to len - 1 do
+        total := !total +. Tensor.get v g 0
+      done;
+      Batched.backward btape
+        (Batched.scale btape (1.0 /. float_of_int len) (Batched.sum_all btape per_ex));
+      clip_and_step ()
+    done;
     let mean_loss =
       if Array.length examples = 0 then 0.0
       else !total /. float_of_int (Array.length examples)

@@ -6,91 +6,37 @@
     applies to training {e and} testing, as in §6.1.2.  Static baselines
     build their own vocabularies from the raw training sources. *)
 
-open Liger_tensor
 open Liger_trace
 open Liger_core
 open Liger_baselines
-
-let prediction_of_task task name_of class_of ex =
-  match task with
-  | Liger_model.Naming -> Train.Subtokens (name_of ex)
-  | Liger_model.Classify _ -> Train.Class (class_of ex)
 
 (** LiGer (optionally ablated).  Returns the wrapper and the model itself
     (the attention-inspection experiment needs the latter). *)
 let liger ?(config = Liger_model.default_config) ?(view = Common.full_view) ?seed ~vocab task =
   let model = Liger_model.create ~config ?seed vocab task in
-  let wrap =
-    {
-      Train.name =
-        (match (config.use_static, config.use_dynamic, config.use_attention) with
-        | true, true, true -> "LiGer"
-        | false, true, _ -> "LiGer-nostatic"
-        | true, false, _ -> "LiGer-nodynamic"
-        | true, true, false -> "LiGer-noattention"
-        | _ -> "LiGer-custom");
-      store = Liger_model.store model;
-      train_loss = (fun tape ex -> fst (Liger_model.loss model tape ~view ex));
-      predict =
-        (fun ex ->
-          let tape = Autodiff.tape () in
-          let p =
-            prediction_of_task task
-              (fun ex -> Liger_model.predict_name model tape ~view ex)
-              (fun ex -> Liger_model.predict_class model tape ~view ex)
-              ex
-          in
-          Autodiff.discard tape;
-          p);
-      batched =
-        Some
-          {
-            Train.train_loss_batch =
-              (fun btape exs -> fst (Liger_model.loss_batch model btape ~view exs));
-            predict_batch =
-              (fun exs ->
-                match task with
-                | Liger_model.Naming ->
-                    Array.map
-                      (fun ids ->
-                        Train.Subtokens
-                          (List.map (Vocab.name (Liger_model.vocab model)) ids))
-                      (Liger_model.predict_name_ids_batch model ~view exs)
-                | Liger_model.Classify _ ->
-                    Array.map
-                      (fun c -> Train.Class c)
-                      (Liger_model.predict_class_batch model ~view exs));
-          };
-      embed = Some (fun ex -> Liger_model.embed_program model ~view ex);
-    }
+  let name =
+    match (config.use_static, config.use_dynamic, config.use_attention) with
+    | true, true, true -> "LiGer"
+    | false, true, _ -> "LiGer-nostatic"
+    | true, false, _ -> "LiGer-nodynamic"
+    | true, true, false -> "LiGer-noattention"
+    | _ -> "LiGer-custom"
   in
-  (wrap, model)
+  ( Train.make ~name ~store:(Liger_model.store model)
+      ~loss_batch:(fun btape exs -> Liger_model.loss_batch model btape ~view exs)
+      ~predict_batch:(Liger_model.predict_batch model ~view)
+      ~embed:(Liger_model.embed_programs model ~view) (),
+    model )
 
 (** DYPRO.  Returns the wrapper and the model itself (probing needs the
     latter's frozen encoder). *)
 let dypro ?(dim = 16) ?(view = Common.full_view) ?seed ~vocab task =
   let model = Dypro.create ~dim ?seed vocab task in
-  let wrap =
-    {
-      Train.name = "DYPRO";
-      store = Dypro.store model;
-      train_loss = (fun tape ex -> Dypro.loss model tape ~view ex);
-      predict =
-        (fun ex ->
-          let tape = Autodiff.tape () in
-          let p =
-            prediction_of_task task
-              (fun ex -> Dypro.predict_name model tape ~view ex)
-              (fun ex -> Dypro.predict_class model tape ~view ex)
-              ex
-          in
-          Autodiff.discard tape;
-          p);
-      batched = None;
-      embed = Some (fun ex -> Dypro.embed_program model ~view ex);
-    }
-  in
-  (wrap, model)
+  ( Train.make ~name:"DYPRO" ~store:(Dypro.store model)
+      ~loss_batch:(fun btape exs -> Dypro.loss_batch model btape ~view exs)
+      ~predict_batch:(Dypro.predict_batch model ~view)
+      ~embed:(Dypro.embed_programs model ~view) (),
+    model )
 
 (** code2vec; builds its own token and label vocabularies from [train]. *)
 let code2vec ?(dim = 16) ?seed ~train task =
@@ -99,24 +45,8 @@ let code2vec ?(dim = 16) ?seed ~train task =
   Vocab.freeze vocab;
   Vocab.freeze labels;
   let model = Code2vec.create ~dim ?seed vocab ~labels task in
-  {
-    Train.name = "code2vec";
-    store = Code2vec.store model;
-    train_loss = (fun tape ex -> Code2vec.loss model tape ex);
-    predict =
-      (fun ex ->
-        let tape = Autodiff.tape () in
-        let p =
-          prediction_of_task task
-            (fun ex -> Code2vec.predict_name model tape ex)
-            (fun ex -> Code2vec.predict_class model tape ex)
-            ex
-        in
-        Autodiff.discard tape;
-        p);
-    batched = None;
-    embed = None;
-  }
+  Train.make ~name:"code2vec" ~store:(Code2vec.store model)
+    ~loss_batch:(Code2vec.loss_batch model) ~predict_batch:(Code2vec.predict_batch model) ()
 
 (** code2seq; builds its own vocabulary from [train]. *)
 let code2seq ?(dim = 16) ?seed ~train task =
@@ -124,21 +54,5 @@ let code2seq ?(dim = 16) ?seed ~train task =
   List.iter (fun (ex : Common.enc_example) -> Code2seq.register vocab ex.Common.meth) train;
   Vocab.freeze vocab;
   let model = Code2seq.create ~dim ?seed vocab task in
-  {
-    Train.name = "code2seq";
-    store = Code2seq.store model;
-    train_loss = (fun tape ex -> Code2seq.loss model tape ex);
-    predict =
-      (fun ex ->
-        let tape = Autodiff.tape () in
-        let p =
-          prediction_of_task task
-            (fun ex -> Code2seq.predict_name model tape ex)
-            (fun ex -> Code2seq.predict_class model tape ex)
-            ex
-        in
-        Autodiff.discard tape;
-        p);
-    batched = None;
-    embed = None;
-  }
+  Train.make ~name:"code2seq" ~store:(Code2seq.store model)
+    ~loss_batch:(Code2seq.loss_batch model) ~predict_batch:(Code2seq.predict_batch model) ()

@@ -256,19 +256,18 @@ let fd_eps = 1e-5
 let fd_tol = 5e-3
 
 let grad_check store build =
-  let tape = Autodiff.tape () in
+  let tape = Batched.tape () in
   let loss = build tape in
-  Autodiff.backward tape loss;
+  Batched.backward tape loss;
   let grads =
     Param.fold store ~init:[] (fun acc p ->
         (p.Param.name, Tensor.to_array p.Param.grad) :: acc)
   in
   Param.zero_grads store;
   let eval () =
-    let tape = Autodiff.tape () in
-    let l = build tape in
-    let v = Autodiff.scalar_value l in
-    Autodiff.discard tape;
+    let tape = Batched.tape () in
+    let v = Batched.scalar_value (build tape) in
+    Batched.discard tape;
     v
   in
   let bad = ref None in
@@ -305,8 +304,8 @@ let rec rand_tree rng depth =
   else
     Encode.Node (label, List.init (Rng.int_range rng 1 3) (fun _ -> rand_tree rng (depth - 1)))
 
-(* A randomly shaped fragment touching one of the layer families; loss is
-   always sum(y*y) over the final vector so it is a scalar. *)
+(* A randomly shaped one-lane fragment touching one of the layer families;
+   loss is always sum(y*y) over the final vector so it is a scalar. *)
 let check_autodiff ~seed (_ : Ast.meth) =
   let rng = Rng.create seed in
   let store = Param.create_store ~seed:(1 + (seed land 0xFFFF)) () in
@@ -314,25 +313,23 @@ let check_autodiff ~seed (_ : Ast.meth) =
   let d_h = Rng.int_range rng 2 4 in
   let steps = Rng.int_range rng 1 3 in
   let xs = List.init steps (fun _ -> rand_vec rng d_in) in
-  let scalarize tape y = Autodiff.sum tape (Autodiff.mul tape y y) in
+  let scalarize tape y = Batched.sum_all tape (Batched.mul tape y y) in
+  let const tape v = Batched.const_arr tape ~rows:1 ~cols:(Array.length v) v in
+  let seq tape = List.map (fun x -> (const tape x, None)) xs in
   let build =
     match Rng.int rng 7 with
     | 0 ->
         let l = Linear.create store "lin" ~dim_in:d_in ~dim_out:d_h in
-        fun tape ->
-          scalarize tape (Linear.forward_tanh l tape (Autodiff.const tape (List.hd xs)))
+        fun tape -> scalarize tape (Linear.forward_tanh_batch l tape (const tape (List.hd xs)))
     | 1 ->
         let cell = Rnn_cell.create ~kind:Rnn_cell.Vanilla store "rnn" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Rnn_cell.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Rnn_cell.last_batch cell tape ~lanes:1 (seq tape))
     | 2 ->
         let cell = Rnn_cell.create ~kind:Rnn_cell.Gru store "gru" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Rnn_cell.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Rnn_cell.last_batch cell tape ~lanes:1 (seq tape))
     | 3 ->
         let cell = Lstm.create store "lstm" ~dim_in:d_in ~dim_hidden:d_h in
-        fun tape ->
-          scalarize tape (Lstm.last cell tape (List.map (Autodiff.const tape) xs))
+        fun tape -> scalarize tape (Lstm.last_batch cell tape ~lanes:1 (seq tape))
     | 4 ->
         let cell = Treelstm.create store "tree" ~dim_in:d_h ~dim_hidden:d_h in
         let emb = Param.embedding store "emb" 6 d_h in
@@ -341,16 +338,17 @@ let check_autodiff ~seed (_ : Ast.meth) =
           | "Assign" -> 0 | "Binop" -> 1 | "x" -> 2 | "y" -> 3 | "+" -> 4 | _ -> 5
         in
         fun tape ->
-          let embed tok = Autodiff.row tape emb (label_id tok) in
-          scalarize tape (Treelstm.embed_tree cell tape ~embed tree)
+          let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
+          scalarize tape (Treelstm.embed_forest cell tape ~embed [ tree ])
     | 5 ->
         let att = Attention.create store "att" ~dim_h:d_in ~dim_q:d_h ~dim_att:d_h in
         let q = rand_vec rng d_h in
         let hs = Array.init (Rng.int_range rng 1 3) (fun _ -> rand_vec rng d_in) in
+        let mask = Tensor.full 1 (Array.length hs) 1.0 in
         fun tape ->
-          let q = Autodiff.const tape q in
-          let hs = Array.map (Autodiff.const tape) hs in
-          scalarize tape (snd (Attention.fuse att tape ~q hs))
+          let q = const tape q in
+          let hs = Array.map (const tape) hs in
+          scalarize tape (snd (Attention.fuse_batch att tape ~q ~mask hs))
     | _ ->
         let vocab = Vocab.create () in
         List.iter (fun t -> ignore (Vocab.add vocab t)) [ "get"; "max"; "sum" ];
@@ -360,10 +358,11 @@ let check_autodiff ~seed (_ : Ast.meth) =
         let mem = Array.init (Rng.int_range rng 1 2) (fun _ -> rand_vec rng d_in) in
         let prog = rand_vec rng d_in in
         let targets = List.init (Rng.int_range rng 1 2) (fun _ -> 4 + Rng.int rng 3) in
+        let memory_mask = Tensor.full 1 (Array.length mem) 1.0 in
         fun tape ->
-          Decoder.loss dec tape
-            ~memory:(Array.map (Autodiff.const tape) mem)
-            ~program_embedding:(Autodiff.const tape prog) ~target_ids:targets
+          Decoder.loss_batch dec tape
+            ~memory:(Array.map (const tape) mem)
+            ~memory_mask ~program_embedding:(const tape prog) ~target_ids:[| targets |]
   in
   grad_check store build
 

@@ -189,7 +189,7 @@ let span_every =
   | None -> 64
 
 (** The layer currently on top of this domain's stack, or [-1].  Used by
-    [Autodiff.push] to tag tape nodes for backward attribution. *)
+    [Batched.push] to tag tape nodes for backward attribution. *)
 let current_layer () =
   if not (Atomic.get enabled_flag) then -1
   else
@@ -198,7 +198,7 @@ let current_layer () =
     | fr :: _ -> fr.lf_layer
 
 (** [add_bwd l dt] attributes [dt] seconds of backward time to layer [l]
-    ([-1] = untagged).  Called from [Autodiff.backward] at tag boundaries. *)
+    ([-1] = untagged).  Called from [Batched.backward] at tag boundaries. *)
 let add_bwd (l : layer) dt =
   if Atomic.get enabled_flag then begin
     let st = Domain.DLS.get state_key in

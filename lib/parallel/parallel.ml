@@ -42,7 +42,7 @@
 
    Slot 0 is the submitting (caller) domain; slots 1..size are workers.
    The three histograms are the dispatch-overhead diagnostics behind the
-   BENCH_parallel.json investigation (DESIGN.md "Domain pool"). *)
+   parallel-corpus benchmark's investigation (DESIGN.md "Domain pool"). *)
 
 let slot_key = Domain.DLS.new_key (fun () -> 0)
 
@@ -204,10 +204,26 @@ let shutdown_locked () =
       Array.iter Domain.join pool.workers;
       the_pool := None
 
-let () = at_exit (fun () ->
-    Mutex.lock global_mutex;
-    shutdown_locked ();
-    Mutex.unlock global_mutex)
+(* Stop the pool at exit.  [exit] can run inside a signal handler (the
+   SIGTERM/SIGINT postmortem path), and OCaml 5 runs a handler on
+   whichever domain polls first, a worker included.  A worker must not
+   join itself (a worker calling [exit] would hang there), and the
+   interrupted code may hold the pool's locks.  So the hook takes only
+   free locks, and joins the workers only from outside the pool; when it
+   cannot, the process ends with them anyway. *)
+let () =
+  at_exit (fun () ->
+      if Mutex.try_lock global_mutex then begin
+        (match !the_pool with
+        | Some pool when Mutex.try_lock pool.mutex ->
+            pool.stop <- true;
+            Condition.broadcast pool.work_available;
+            Mutex.unlock pool.mutex;
+            if not (in_worker ()) then Array.iter Domain.join pool.workers;
+            the_pool := None
+        | _ -> ());
+        Mutex.unlock global_mutex
+      end)
 
 (** Number of parallel lanes (caller + workers) the next map will use. *)
 let jobs () =

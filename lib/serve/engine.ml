@@ -69,8 +69,10 @@ let create ?(config = default_config) ?index ~model ~vocab () =
   let suggest_run exs =
     Metrics.incr "serve.batches" ~labels:[ ("op", "suggest") ];
     Metrics.add "serve.batch_lanes" (Array.length exs) ~labels:[ ("op", "suggest") ];
-    Liger_model.predict_name_ids_batch model exs
-    |> Array.map (fun ids -> List.map (Vocab.name vocab) ids)
+    Liger_model.predict_batch model exs
+    |> Array.map (function
+         | Liger_model.Subtokens toks -> toks
+         | Liger_model.Class _ -> invalid_arg "Engine: /suggest needs a naming model")
   in
   {
     config;

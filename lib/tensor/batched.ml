@@ -1,12 +1,14 @@
-(** Tape-based reverse-mode autodiff over {e batched} matrices.
+(** Tape-based reverse-mode autodiff over {e batched} matrices — the one
+    autodiff engine: every model trains and predicts on it, one example
+    being a one-lane batch.
 
-    The per-example engine ({!Autodiff}) records vector nodes; this engine
-    records [lanes × dim] matrix nodes, where each row ("lane") carries one
-    independent example/trace/state of a padded batch.  Semantics per lane
-    are identical to the unbatched ops — the equivalence tests in
-    [test/test_batched.ml] hold every layer to that within float tolerance —
-    but the work runs through the {!Tensor} GEMM kernels and flat loops, so
-    a batch of B lanes costs far fewer than B unbatched passes.
+    The tape records [lanes × dim] matrix nodes, where each row ("lane")
+    carries one independent example/trace/state of a padded batch.  Every
+    op computes a lane from that lane's inputs only, in a fixed order, so
+    a lane's values are bitwise the same whatever else shares the batch
+    ([test/test_batched.ml] holds every layer to that, and to a naive
+    float-array reference).  The work runs through the {!Tensor} GEMM
+    kernels and flat loops.
 
     Padding and masking conventions (shared with [lib/nn] and DESIGN.md):
     - Variable-length sequences are padded to the longest lane; each step
@@ -17,7 +19,7 @@
     - Ragged candidate sets use {!masked_softmax_rows}: masked slots get
       weight 0 and zero gradient; a row with a single valid slot gets weight
       1 with zero gradient into its score (softmax Jacobian [w - w²] is 0),
-      matching the unbatched single-candidate bypass.
+      so a lone candidate passes through unchanged.
     - Cross-level packing (tokens → variables → states → traces) is built
       from {!vstack} + {!gather_rows} + the group reductions {!group_sum} /
       {!group_max}.
@@ -27,9 +29,13 @@
     consequently node values are only valid until {!backward}/{!discard} —
     copy out what you need first.
 
-    Profiling mirrors {!Autodiff}: ops are registered as [bad.*], bytes are
-    [16 * lanes * dim] of the output node, GEMM counts [2mnk] forward FLOPs
-    and [2mnk] per backward GEMM (4mnk for the usual dX+dW pair). *)
+    Profiling: ops are registered as [bad.*], bytes are [16 * lanes * dim]
+    of the output node (value + gradient, 8 bytes per float each), GEMM
+    counts [2mnk] forward FLOPs and [2mnk] per backward GEMM (4mnk for the
+    usual dX+dW pair), elementwise ops count one FLOP per output element
+    forward.  Nodes are tagged with {!Liger_obs.Profile.current_layer} at
+    creation so {!backward} can attribute backward time to the layer whose
+    forward created each node. *)
 
 module P = Liger_obs.Profile
 module D = Liger_obs.Dynamics
@@ -100,7 +106,8 @@ let take_aux tape n_elts =
   tape.aux <- b :: tape.aux;
   b
 
-(* profiled op ids, mirroring the ad.* registry *)
+(* profiled op ids; registration is idempotent and happens once at module
+   initialisation, so the hot path is array indexing *)
 let op_const = P.register_op "bad.const"
 let op_of_param = P.register_op "bad.of_param"
 let op_of_param_b = P.register_op "bad.of_param.bwd"
@@ -237,7 +244,7 @@ let rows_of_param tape (p : Param.t) (ids : int array) =
 (* ------------------------------------------------------------------ *)
 
 (** [matmul_nt tape x p] is [X · W^T] for parameter matrix [W : out×in] and
-    [X : lanes×in], the batched counterpart of {!Autodiff.matvec}.  Backward
+    [X : lanes×in] (one matrix-vector product per lane).  Backward
     runs the two sibling GEMMs [dX += dY·W] and [dW += dY^T·X]. *)
 let matmul_nt tape x (p : Param.t) =
   let l = lanes x and k = dim x in
@@ -1126,9 +1133,9 @@ let group_sum tape a ~(groups : int array) ~n_groups =
   n
 
 (** [group_max tape a ~groups ~n_groups]: per-group, per-column elementwise
-    max, gradients routed to the winning row (ties to the earliest lane, as
-    in {!Autodiff.max_pool}).  Empty groups produce zero rows with no
-    gradient — matching the unbatched "no traces → zero embedding" case. *)
+    max, gradients routed to the winning row (ties to the earliest lane).
+    Empty groups produce zero rows with no gradient (an example without
+    traces has a zero embedding). *)
 let group_max tape a ~(groups : int array) ~n_groups =
   let l = lanes a and d = dim a in
   if Array.length groups <> l then invalid_arg "Batched.group_max: groups length mismatch";
@@ -1403,8 +1410,9 @@ let release_tape tape =
 
 (** Seed the scalar loss gradient and replay the tape in reverse, then
     release every node buffer back to the pool (node values become invalid).
-    Backward time is attributed to forward layers exactly as in
-    {!Autodiff.backward}. *)
+    When profiling, backward time is attributed to the layer that created
+    each node; the clock is read only when the layer tag changes along the
+    tape. *)
 let backward tape loss =
   if lanes loss <> 1 || dim loss <> 1 then
     invalid_arg "Batched.backward: loss must be 1x1";

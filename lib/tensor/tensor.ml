@@ -9,12 +9,10 @@
     (the float64 kind is statically known, so access compiles to unboxed
     loads) because they dominate training time.
 
-    Per-example autodiff node values remain small [float array]s; the raw
-    float-array helpers ([axpy], [dot], [softmax], [argmax]) serve those, and
-    the matrix kernels mix the two representations (bigarray matrix, float
-    array vectors).
+    Rows copied out of a tape node are plain [float array]s; {!argmax} and
+    {!softmax} read those.
 
-    The batched engine ({!Batched}) runs on the {!gemm_nt}/{!gemm_nn}/
+    The autodiff engine ({!Batched}) runs on the {!gemm_nt}/{!gemm_nn}/
     {!gemm_tn} kernels: cache-blocked, 4-way unrolled inner loops, and —
     above {!gemm_par_flops} FLOPs per call — row-partitioned across the
     domain pool.  [lib/tensor] cannot depend on [lib/parallel] (which uses
@@ -119,114 +117,9 @@ let blit_from_array a t =
     A.unsafe_set t.data i (Array.unsafe_get a i)
   done
 
-let blit src dst =
-  if src.rows <> dst.rows || src.cols <> dst.cols then
-    invalid_arg "Tensor.blit: shape mismatch";
-  A.blit src.data dst.data
-
-let same_shape a b = a.rows = b.rows && a.cols = b.cols
-
-let check_same_shape name a b =
-  if not (same_shape a b) then
-    invalid_arg
-      (Printf.sprintf "%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols
-         b.rows b.cols)
-
 (* ------------------------------------------------------------------ *)
-(* In-place kernels on raw float arrays (per-example autodiff nodes).  *)
+(* Whole-tensor reductions and float-array helpers                     *)
 (* ------------------------------------------------------------------ *)
-
-(** [axpy a x y] computes [y <- a*x + y] elementwise over raw arrays. *)
-let axpy a x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Tensor.axpy: length mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set y i
-      ((a *. Array.unsafe_get x i) +. Array.unsafe_get y i)
-  done
-
-(** [axpy_buf a x y] computes [y <- a*x + y] from a raw array into a
-    bigarray buffer (gradient accumulation into parameter storage). *)
-let axpy_buf a (x : float array) (y : buf) =
-  let n = Array.length x in
-  if A.dim y <> n then invalid_arg "Tensor.axpy_buf: length mismatch";
-  for i = 0 to n - 1 do
-    A.unsafe_set y i ((a *. Array.unsafe_get x i) +. A.unsafe_get y i)
-  done
-
-(** [matvec m x out] computes [out <- m * x] where [x] has length [m.cols]
-    and [out] has length [m.rows]. *)
-let matvec m x out =
-  if Array.length x <> m.cols then invalid_arg "Tensor.matvec: bad x";
-  if Array.length out <> m.rows then invalid_arg "Tensor.matvec: bad out";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let acc = ref 0.0 in
-    for j = 0 to cols - 1 do
-      acc := !acc +. (A.unsafe_get data (base + j) *. Array.unsafe_get x j)
-    done;
-    Array.unsafe_set out i !acc
-  done
-
-(** [matvec_t_acc m g x_grad] accumulates [x_grad += m^T * g]; the transpose
-    product needed to backpropagate through {!matvec}. *)
-let matvec_t_acc m g x_grad =
-  if Array.length g <> m.rows then invalid_arg "Tensor.matvec_t_acc: bad g";
-  if Array.length x_grad <> m.cols then
-    invalid_arg "Tensor.matvec_t_acc: bad x_grad";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let gi = Array.unsafe_get g i in
-    if gi <> 0.0 then begin
-      let base = i * cols in
-      for j = 0 to cols - 1 do
-        Array.unsafe_set x_grad j
-          (Array.unsafe_get x_grad j +. (gi *. A.unsafe_get data (base + j)))
-      done
-    end
-  done
-
-(** [outer_acc g x m_grad] accumulates [m_grad += g x^T]; the weight gradient
-    of {!matvec}. *)
-let outer_acc g x m_grad =
-  let rows = Array.length g and cols = Array.length x in
-  if A.dim m_grad.data <> rows * cols then
-    invalid_arg "Tensor.outer_acc: bad m_grad";
-  let data = m_grad.data in
-  for i = 0 to rows - 1 do
-    let gi = Array.unsafe_get g i in
-    if gi <> 0.0 then begin
-      let base = i * cols in
-      for j = 0 to cols - 1 do
-        A.unsafe_set data (base + j)
-          (A.unsafe_get data (base + j) +. (gi *. Array.unsafe_get x j))
-      done
-    end
-  done
-
-let dot x y =
-  let n = Array.length x in
-  if Array.length y <> n then invalid_arg "Tensor.dot: length mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (Array.unsafe_get x i *. Array.unsafe_get y i)
-  done;
-  !acc
-
-let map f t =
-  let r = create t.rows t.cols in
-  for i = 0 to size t - 1 do
-    A.unsafe_set r.data i (f (A.unsafe_get t.data i))
-  done;
-  r
-
-let sum t =
-  let acc = ref 0.0 in
-  for i = 0 to size t - 1 do
-    acc := !acc +. A.unsafe_get t.data i
-  done;
-  !acc
 
 let l2_norm t =
   let acc = ref 0.0 in
@@ -235,13 +128,6 @@ let l2_norm t =
     acc := !acc +. (x *. x)
   done;
   sqrt !acc
-
-let max_elt t =
-  let acc = ref neg_infinity in
-  for i = 0 to size t - 1 do
-    acc := Stdlib.max !acc (A.unsafe_get t.data i)
-  done;
-  !acc
 
 let argmax a =
   let best = ref 0 in

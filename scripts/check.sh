@@ -21,9 +21,11 @@ LIGER_JOBS=2 dune runtest
 echo "== bench smoke: parallel corpus generation on 2 domains + regression gate"
 LIGER_BENCH_N=20 dune exec --no-build bench/main.exe -- \
   --jobs 2 --history BENCH_history.jsonl --check-regression > /dev/null
-test -f BENCH_parallel.json
-test -f BENCH_history.jsonl
-echo "   ok: BENCH_parallel.json written, record appended to BENCH_history.jsonl"
+tail -n 1 BENCH_history.jsonl | grep -q '"benchmark":"parallel-corpus"' || {
+  echo "   ERROR: last history record is not the parallel-corpus record" >&2; exit 1; }
+tail -n 1 BENCH_history.jsonl | grep -q '"deterministic":1[,}]' || {
+  echo "   ERROR: parallel-corpus record is not deterministic (jobs=1 vs jobs=2)" >&2; exit 1; }
+echo "   ok: deterministic parallel-corpus record appended to BENCH_history.jsonl"
 
 # The profiled smoke does not append to the history: profiling overhead
 # would create alternating slow/fast records inside one run shape and
@@ -40,7 +42,7 @@ tail -n 1 runs/ci-profile/metrics.jsonl | grep -q '"final":true' || {
   echo "   ERROR: runs/ci-profile/metrics.jsonl does not end with the exit tick" >&2; exit 1; }
 echo "   ok: runs/ci-profile/metrics.jsonl has a consistent profile section on every line"
 
-echo "== benchmark history: unbatched baseline record"
+echo "== benchmark history: batch-1 record (one lane per tape, one step per example)"
 dune exec --no-build bin/liger_cli.exe -- train -n 16 --epochs 3 \
   --history BENCH_history.jsonl > /dev/null 2>&1
 echo "   ok: train.LiGer (batch=1) record appended"
@@ -131,6 +133,29 @@ fi
 test -f runs/ci-crash/postmortem.json
 dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-crash/postmortem.json
 echo "   ok: postmortem.json written by the crashed run and validates"
+
+# OCaml 5 runs a signal handler on whichever domain polls first, so on a
+# pool of 2 the SIGTERM exit can start on a worker.  A watchdog SIGKILLs
+# the run after 30 s, which fails the exit-status check below.
+echo "== SIGTERM mid-train on a pool of 2: exit 143 within 30 s, postmortem validates"
+rm -rf runs/ci-sigterm
+LIGER_RUN_ID=ci-sigterm LIGER_JOBS=2 LIGER_METRICS_EVERY=1 \
+  ./_build/default/bin/liger_cli.exe train -n 40 --epochs 30 > /dev/null 2>&1 &
+TRAIN_PID=$!
+sleep 4
+kill -TERM "$TRAIN_PID"
+( sleep 30; kill -KILL "$TRAIN_PID" 2>/dev/null ) &
+WATCHDOG_PID=$!
+status=0
+wait "$TRAIN_PID" || status=$?
+kill "$WATCHDOG_PID" 2>/dev/null || true
+[ "$status" -eq 143 ] || {
+  echo "   ERROR: SIGTERM'd train exited with $status, expected 143 within 30 s" >&2; exit 1; }
+test -f runs/ci-sigterm/postmortem.json
+dune exec --no-build bin/liger_cli.exe -- stats --validate runs/ci-sigterm/postmortem.json
+tail -n 1 runs/ci-sigterm/metrics.jsonl | grep -q '"final":true' || {
+  echo "   ERROR: the SIGTERM'd run left no exit tick in its ledger" >&2; exit 1; }
+echo "   ok: exited 143, postmortem.json validates, ledger ends with the exit tick"
 
 echo "== differential fuzz smoke: fixed seed, all oracles, zero failures expected"
 # Fixed seed keeps this reproducible; any failure is shrunk and persisted

@@ -1,10 +1,10 @@
-(* Batched-engine equivalence suite: the contract is that every lib/nn
-   layer's *_batch variant computes, per lane, the same function as its
-   unbatched counterpart (within float-reassociation tolerance), that
-   padded lanes and masked slots receive EXACTLY zero gradient, and that
-   the GEMM kernels agree with a naive reference bitwise-deterministically
-   across parallel schedules.  Ends with full-model loss_batch vs loss and
-   batched Train.fit determinism across pool sizes. *)
+(* Batched-engine suite: the contract is that every lib/nn layer computes
+   each lane of a batch bit for bit as it computes that lane alone, and
+   matches a naive float-array reference of its math; that padded lanes
+   and masked slots receive EXACTLY zero gradient; and that the GEMM
+   kernels agree with a naive reference bitwise-deterministically across
+   parallel schedules.  Ends with every model's loss_batch per lane vs
+   alone and Train.fit determinism across pool sizes. *)
 
 open Liger_tensor
 open Liger_nn
@@ -30,13 +30,6 @@ let check_grads ?(tol = 1e-6) tag expected actual =
   List.iter
     (fun (name, e) -> check_close ~tol (tag ^ "/grad " ^ name) e (List.assoc name actual))
     expected
-
-(* Unbatched reference loss: sum over lanes of sum(y_l .* y_l), all on one
-   tape so one backward accumulates every lane's parameter gradient. *)
-let sq_loss_unbatched tape ys =
-  List.fold_left
-    (fun acc y -> Autodiff.add tape acc (Autodiff.sum tape (Autodiff.mul tape y y)))
-    (Autodiff.scalar tape 0.0) ys
 
 let sq_loss_batched btape y = Batched.sum_all btape (Batched.mul btape y y)
 
@@ -230,44 +223,147 @@ let test_bufpool_reuse () =
   if v1 <> v2 then Alcotest.failf "bufpool reuse changed a result: %.17g vs %.17g" v1 v2
 
 (* ------------------------------------------------------------------ *)
-(* Per-layer batched-vs-unbatched equivalence (shared parameter store)  *)
+(* Per-layer lane contract: a G-lane batch equals each lane run alone,
+   bit for bit (what serving relies on), and every lane matches a naive
+   float-array reference of the layer's math written out below.         *)
 (* ------------------------------------------------------------------ *)
 
 let lanes = 3
 
-(* Runs the unbatched builder (one tape, all lanes), snapshots loss+grads,
-   zeroes, runs the batched builder, and compares. *)
-let equivalence ?(tol = 1e-6) name store ~unbatched ~batched =
-  let tape = Autodiff.tape () in
-  let loss = unbatched tape in
-  let expected = Autodiff.scalar_value loss in
-  Autodiff.backward tape loss;
-  let eg = store_grads store in
-  Param.zero_grads store;
+(* [forward ids] runs the layer on the lanes [ids] (one tape) and returns
+   one output row per lane; [reference l] is lane [l] computed naively. *)
+let layer_check ?(tol = 1e-9) name ~forward ~reference =
+  let all = forward (Array.init lanes Fun.id) in
+  Array.iteri
+    (fun l row ->
+      if row <> (forward [| l |]).(0) then
+        Alcotest.failf "%s: lane %d differs between a %d-lane batch and alone" name l lanes;
+      check_close ~tol (Printf.sprintf "%s/lane %d vs reference" name l) (reference l) row)
+    all
+
+(* run [f] on a fresh tape, copying out every row of the node it returns *)
+let rows_of f =
   let btape = Batched.tape () in
-  let bloss = batched btape in
-  let actual = Batched.scalar_value bloss in
-  Batched.backward btape bloss;
-  let ag = store_grads store in
-  Param.zero_grads store;
-  check_close ~tol (name ^ "/loss") [| expected |] [| actual |];
-  check_grads ~tol name eg ag
+  let n = f btape in
+  let rows = Array.init (Batched.lanes n) (Batched.row_value n) in
+  Batched.discard btape;
+  rows
+
+(* the lanes [ids] of per-lane vectors [xs] as one [|ids| × dim] leaf *)
+let pick btape xs ids =
+  Batched.const_arr btape ~rows:(Array.length ids) ~cols:(Array.length xs.(0))
+    (Array.concat (Array.to_list (Array.map (fun l -> xs.(l)) ids)))
+
+(* --- the naive reference: float arrays, one loop per formula --- *)
+module Ref = struct
+  let vec (p : Param.t) = Tensor.to_array p.Param.value
+
+  (* W x (+ b) *)
+  let matvec (w : Param.t) x =
+    Array.init (Param.rows w) (fun i ->
+        let acc = ref 0.0 in
+        Array.iteri (fun j xj -> acc := !acc +. (Tensor.get w.Param.value i j *. xj)) x;
+        !acc)
+
+  let add = Array.map2 ( +. )
+  let mul = Array.map2 ( *. )
+  let sigmoid = Array.map (fun x -> 1.0 /. (1.0 +. exp (-.x)))
+  let tanh = Array.map Stdlib.tanh
+  let slice a off len = Array.sub a off len
+  let affine (l : Linear.t) x = add (matvec l.Linear.w x) (vec l.Linear.b)
+
+  let softmax a =
+    let m = Array.fold_left Float.max neg_infinity a in
+    let e = Array.map (fun x -> exp (x -. m)) a in
+    let z = Array.fold_left ( +. ) 0.0 e in
+    Array.map (fun x -> x /. z) e
+
+  let weighted_sum w vs =
+    Array.init (Array.length vs.(0)) (fun c ->
+        let acc = ref 0.0 in
+        Array.iteri (fun k v -> acc := !acc +. (w.(k) *. v.(c))) vs;
+        !acc)
+
+  let rnn_step (cell : Rnn_cell.t) h x =
+    match cell.Rnn_cell.spec with
+    | Rnn_cell.Svanilla { wx; wh; b } -> tanh (add (add (matvec wx x) (matvec wh h)) (vec b))
+    | Rnn_cell.Sgru { gates; cand } ->
+        let d = cell.Rnn_cell.dim_hidden in
+        let rz = sigmoid (affine gates (Array.append x h)) in
+        let r = slice rz 0 d and z = slice rz d d in
+        let h_tilde = tanh (affine cand (Array.append x (mul r h))) in
+        Array.init d (fun i -> (z.(i) *. h_tilde.(i)) +. ((1.0 -. z.(i)) *. h.(i)))
+
+  let rnn_last cell xs = List.fold_left (rnn_step cell) (vec cell.Rnn_cell.h0) xs
+
+  let lstm_last (cell : Lstm.t) xs =
+    let d = cell.Lstm.dim_hidden in
+    let h, _ =
+      List.fold_left
+        (fun (h, c) x ->
+          let pre = affine cell.Lstm.gates (Array.append x h) in
+          let gate k = slice pre (k * d) d in
+          let c = add (mul (sigmoid (gate 1)) c) (mul (sigmoid (gate 0)) (tanh (gate 3))) in
+          (mul (sigmoid (gate 2)) (tanh c), c))
+        (vec cell.Lstm.h0, vec cell.Lstm.c0)
+        xs
+    in
+    h
+
+  (* v . tanh(W (h ++ q) + b), softmax over candidates, weighted sum *)
+  let fuse (att : Attention.t) q hs =
+    let scores =
+      Array.map
+        (fun h ->
+          let s = tanh (affine att.Attention.proj (Array.append h q)) in
+          (matvec att.Attention.v s).(0))
+        hs
+    in
+    weighted_sum (softmax scores) hs
+
+  let rec tree_state (tl : Treelstm.t) embed (tree : Encode.tree) =
+    let d = tl.Treelstm.dim_hidden in
+    let label, children =
+      match tree with Encode.Leaf l -> (l, []) | Encode.Node (l, cs) -> (l, cs)
+    in
+    let kids = List.map (tree_state tl embed) children in
+    let h_sum = List.fold_left (fun acc (h, _) -> add acc h) (Array.make d 0.0) kids in
+    let wxx = matvec tl.Treelstm.wx (embed label) and uhh = matvec tl.Treelstm.uh h_sum in
+    let b = vec tl.Treelstm.b in
+    let gate k = add (add (slice wxx (k * d) d) (slice uhh (k * d) d)) (slice b (k * d) d) in
+    let f_base = add (slice wxx (3 * d) d) (slice b (3 * d) d) in
+    let forget =
+      List.fold_left
+        (fun acc (h_k, c_k) -> add acc (mul (sigmoid (add f_base (matvec tl.Treelstm.uf h_k))) c_k))
+        (Array.make d 0.0) kids
+    in
+    let c = add (mul (sigmoid (gate 0)) (tanh (gate 2))) forget in
+    (mul (sigmoid (gate 1)) (tanh c), c)
+
+  (* teacher-forced NLL of [targets @ [eos]] *)
+  let decoder_loss (dec : Decoder.t) ~memory ~prog targets =
+    let table = dec.Decoder.embedding.Embedding_layer.table in
+    let emb id = Array.init (Param.cols table) (fun j -> Tensor.get table.Param.value id j) in
+    let h = ref (tanh (affine dec.Decoder.bridge prog)) and prev = ref Vocab.sos_id in
+    List.fold_left
+      (fun total target ->
+        let context = fuse dec.Decoder.att !h memory in
+        let h' = rnn_step dec.Decoder.cell !h (Array.append (emb !prev) context) in
+        let probs = softmax (affine dec.Decoder.out (Array.append h' context)) in
+        h := h';
+        prev := target;
+        total -. log probs.(target))
+      0.0 (targets @ [ Vocab.eos_id ])
+end
 
 let test_linear_equiv () =
   let store = Param.create_store ~seed:31 () in
   let layer = Linear.create store "lin" ~dim_in:4 ~dim_out:3 in
   let rng = Rng.create 32 in
   let xs = Array.init lanes (fun _ -> rand_arr rng 4) in
-  equivalence "linear" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (Array.to_list
-           (Array.map (fun x -> Linear.forward_tanh layer tape (Autodiff.const tape x)) xs)))
-    ~batched:(fun btape ->
-      let x =
-        Batched.const_arr btape ~rows:lanes ~cols:4 (Array.concat (Array.to_list xs))
-      in
-      sq_loss_batched btape (Linear.forward_tanh_batch layer btape x))
+  layer_check "linear"
+    ~forward:(fun ids -> rows_of (fun bt -> Linear.forward_tanh_batch layer bt (pick bt xs ids)))
+    ~reference:(fun l -> Ref.tanh (Ref.affine layer xs.(l)))
 
 let test_embedding_equiv () =
   let v = Vocab.create () in
@@ -275,14 +371,13 @@ let test_embedding_equiv () =
   Vocab.freeze v;
   let store = Param.create_store ~seed:33 () in
   let emb = Embedding_layer.create store "emb" v ~dim:5 in
-  let ids = [| 4; 6; 4 |] in
-  (* duplicate id: scatter-add must accumulate *)
-  equivalence "embedding" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (Array.to_list (Array.map (fun i -> Embedding_layer.embed_id emb tape i) ids)))
-    ~batched:(fun btape ->
-      sq_loss_batched btape (Embedding_layer.embed_ids emb btape ids))
+  (* a duplicate id and an out-of-range one (falls back to unk) *)
+  let ids = [| 4; 6; 99 |] in
+  layer_check ~tol:0.0 "embedding"
+    ~forward:(fun sel -> rows_of (fun bt -> Embedding_layer.embed_ids emb bt (Array.map (fun l -> ids.(l)) sel)))
+    ~reference:(fun l ->
+      let id = if ids.(l) >= Vocab.size v then Vocab.unk_id else ids.(l) in
+      Array.init 5 (fun j -> Tensor.get emb.Embedding_layer.table.Param.value id j))
 
 let rnn_equiv kind name =
   let store = Param.create_store ~seed:34 () in
@@ -290,23 +385,12 @@ let rnn_equiv kind name =
   let rng = Rng.create 35 in
   let steps = 3 in
   let xs = Array.init steps (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
-  equivalence name store
-    ~unbatched:(fun tape ->
-      let finals =
-        List.init lanes (fun l ->
-            let inputs = List.init steps (fun s -> Autodiff.const tape xs.(s).(l)) in
-            match List.rev (Rnn_cell.run cell tape inputs) with
-            | h :: _ -> h
-            | [] -> assert false)
-      in
-      sq_loss_unbatched tape finals)
-    ~batched:(fun btape ->
-      let step s =
-        ( Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list xs.(s))),
-          None )
-      in
-      let h = Rnn_cell.last_batch cell btape ~lanes (List.init steps step) in
-      sq_loss_batched btape h)
+  layer_check name
+    ~forward:(fun ids ->
+      rows_of (fun bt ->
+          Rnn_cell.last_batch cell bt ~lanes:(Array.length ids)
+            (List.init steps (fun s -> (pick bt xs.(s) ids, None)))))
+    ~reference:(fun l -> Ref.rnn_last cell (List.init steps (fun s -> xs.(s).(l))))
 
 let test_gru_equiv () = rnn_equiv Rnn_cell.Gru "rnn_cell.gru"
 let test_vanilla_equiv () = rnn_equiv Rnn_cell.Vanilla "rnn_cell.vanilla"
@@ -317,23 +401,15 @@ let test_lstm_equiv () =
   let rng = Rng.create 37 in
   let steps = 3 in
   let xs = Array.init steps (fun _ -> Array.init lanes (fun _ -> rand_arr rng 3)) in
-  equivalence "lstm" store
-    ~unbatched:(fun tape ->
-      let finals =
-        List.init lanes (fun l ->
-            let inputs = List.init steps (fun s -> Autodiff.const tape xs.(s).(l)) in
-            Lstm.last cell tape inputs)
-      in
-      sq_loss_unbatched tape finals)
-    ~batched:(fun btape ->
-      let step s =
-        ( Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list xs.(s))),
-          None )
-      in
-      sq_loss_batched btape (Lstm.last_batch cell btape ~lanes (List.init steps step)))
+  layer_check "lstm"
+    ~forward:(fun ids ->
+      rows_of (fun bt ->
+          Lstm.last_batch cell bt ~lanes:(Array.length ids)
+            (List.init steps (fun s -> (pick bt xs.(s) ids, None)))))
+    ~reference:(fun l -> Ref.lstm_last cell (List.init steps (fun s -> xs.(s).(l))))
 
-(* perturb the zero-initialised scorer direction so attention gradients are
-   not trivially zero through the projection *)
+(* perturb the zero-initialised scorer direction so attention weights are
+   not trivially uniform *)
 let kick_attention_v store name =
   let p = Param.find store name in
   let rng = Rng.create 99 in
@@ -349,28 +425,14 @@ let test_attention_equiv () =
   let k = 3 in
   let qs = Array.init lanes (fun _ -> rand_arr rng 3) in
   let hs = Array.init k (fun _ -> Array.init lanes (fun _ -> rand_arr rng 4)) in
-  equivalence "attention" store
-    ~unbatched:(fun tape ->
-      let fused =
-        List.init lanes (fun l ->
-            let q = Autodiff.const tape qs.(l) in
-            let cands = Array.map (fun slot -> Autodiff.const tape slot.(l)) hs in
-            snd (Attention.fuse att tape ~q cands))
-      in
-      sq_loss_unbatched tape fused)
-    ~batched:(fun btape ->
-      let q =
-        Batched.const_arr btape ~rows:lanes ~cols:3 (Array.concat (Array.to_list qs))
-      in
-      let cands =
-        Array.map
-          (fun slot ->
-            Batched.const_arr btape ~rows:lanes ~cols:4 (Array.concat (Array.to_list slot)))
-          hs
-      in
-      let mask = Tensor.create lanes k in
-      Tensor.fill mask 1.0;
-      sq_loss_batched btape (snd (Attention.fuse_batch att btape ~q ~mask cands)))
+  layer_check "attention"
+    ~forward:(fun ids ->
+      rows_of (fun bt ->
+          let mask = Tensor.full (Array.length ids) k 1.0 in
+          snd
+            (Attention.fuse_batch att bt ~q:(pick bt qs ids) ~mask
+               (Array.map (fun slot -> pick bt slot ids) hs))))
+    ~reference:(fun l -> Ref.fuse att qs.(l) (Array.map (fun slot -> slot.(l)) hs))
 
 let trees =
   Encode.
@@ -385,25 +447,20 @@ let tok_vec tok =
   let h = Hashtbl.hash tok in
   Array.init 3 (fun i -> float_of_int (((h lsr (4 * i)) land 15) - 8) /. 8.0)
 
+let embed_labels btape labels =
+  Batched.const_arr btape ~rows:(Array.length labels) ~cols:3
+    (Array.concat (Array.to_list (Array.map tok_vec labels)))
+
 let test_treelstm_equiv () =
   let store = Param.create_store ~seed:40 () in
   let tl = Treelstm.create store "tl" ~dim_in:3 ~dim_hidden:4 in
-  equivalence ~tol:1e-6 "treelstm" store
-    ~unbatched:(fun tape ->
-      sq_loss_unbatched tape
-        (List.map
-           (fun tr ->
-             Treelstm.embed_tree tl tape ~embed:(fun tok -> Autodiff.const tape (tok_vec tok)) tr)
-           trees))
-    ~batched:(fun btape ->
-      let roots =
-        Treelstm.embed_forest tl btape
-          ~embed:(fun labels ->
-            Batched.const_arr btape ~rows:(Array.length labels) ~cols:3
-              (Array.concat (Array.to_list (Array.map tok_vec labels))))
-          trees
-      in
-      sq_loss_batched btape roots)
+  let trees = Array.of_list trees in
+  layer_check "treelstm"
+    ~forward:(fun ids ->
+      rows_of (fun bt ->
+          Treelstm.embed_forest tl bt ~embed:(embed_labels bt)
+            (Array.to_list (Array.map (fun l -> trees.(l)) ids))))
+    ~reference:(fun l -> fst (Ref.tree_state tl tok_vec trees.(l)))
 
 let make_decoder () =
   let v = Vocab.create () in
@@ -416,50 +473,24 @@ let make_decoder () =
   (store, dec)
 
 let test_decoder_equiv () =
-  let store, dec = make_decoder () in
+  let _, dec = make_decoder () in
   let rng = Rng.create 42 in
   let k = 2 in
   let mems = Array.init k (fun _ -> Array.init lanes (fun _ -> rand_arr rng 5)) in
   let progs = Array.init lanes (fun _ -> rand_arr rng 5) in
   (* ragged targets: lane 1 finishes earlier, exercising weight-0 steps *)
   let targets = [| [ 4; 5 ]; [ 6 ]; [ 5; 4 ] |] in
-  let tape = Autodiff.tape () in
-  let per_lane =
-    List.init lanes (fun l ->
-        let memory = Array.map (fun slot -> Autodiff.const tape slot.(l)) mems in
-        Decoder.loss dec tape ~memory
-          ~program_embedding:(Autodiff.const tape progs.(l))
-          ~target_ids:targets.(l))
-  in
-  let expected = List.map Autodiff.scalar_value per_lane in
-  let total =
-    List.fold_left (fun acc l -> Autodiff.add tape acc l) (Autodiff.scalar tape 0.0) per_lane
-  in
-  Autodiff.backward tape total;
-  let eg = store_grads store in
-  Param.zero_grads store;
-  let btape = Batched.tape () in
-  let memory =
-    Array.map
-      (fun slot ->
-        Batched.const_arr btape ~rows:lanes ~cols:5 (Array.concat (Array.to_list slot)))
-      mems
-  in
-  let mask = Tensor.create lanes k in
-  Tensor.fill mask 1.0;
-  let losses =
-    Decoder.loss_batch dec btape ~memory ~memory_mask:mask
-      ~program_embedding:
-        (Batched.const_arr btape ~rows:lanes ~cols:5 (Array.concat (Array.to_list progs)))
-      ~target_ids:targets
-  in
-  List.iteri
-    (fun l e -> check_close ~tol:1e-6 "decoder/lane loss" [| e |] (Batched.row_value losses l))
-    expected;
-  Batched.backward btape (Batched.sum_all btape losses);
-  let ag = store_grads store in
-  Param.zero_grads store;
-  check_grads ~tol:1e-6 "decoder" eg ag
+  layer_check "decoder"
+    ~forward:(fun ids ->
+      rows_of (fun bt ->
+          Decoder.loss_batch dec bt
+            ~memory:(Array.map (fun slot -> pick bt slot ids) mems)
+            ~memory_mask:(Tensor.full (Array.length ids) k 1.0)
+            ~program_embedding:(pick bt progs ids)
+            ~target_ids:(Array.map (fun l -> targets.(l)) ids)))
+    ~reference:(fun l ->
+      [| Ref.decoder_loss dec ~memory:(Array.map (fun slot -> slot.(l)) mems) ~prog:progs.(l)
+           targets.(l) |])
 
 (* ------------------------------------------------------------------ *)
 (* Masking: padded lanes and dead slots get EXACTLY zero gradient       *)
@@ -637,40 +668,69 @@ let small_corpus =
      Liger_dataset.Pipeline.build_naming ~enc_config:enc (Rng.create 4321)
        ~name:"batched-test" ~n:20)
 
-let test_model_loss_batch_equiv () =
-  let corpus = Lazy.force small_corpus in
-  let module LM = Liger_core.Liger_model in
-  let wrap, model =
-    Liger_eval.Zoo.liger ~vocab:corpus.Liger_dataset.Pipeline.vocab LM.Naming
-  in
-  let chunk =
-    Array.of_list
-      (List.filteri (fun i _ -> i < 4) corpus.Liger_dataset.Pipeline.train)
-  in
-  if Array.length chunk = 0 then Alcotest.fail "empty train split";
-  (* per-example unbatched losses and accumulated grads *)
-  let expected =
+(* [check_model_lanes name store loss_batch chunk]: each example's loss in
+   the [chunk]-lane batch equals its loss alone, bit for bit, and the
+   batch's gradient equals the sum of the one-lane gradients (up to float
+   reassociation: shared rows accumulate in a different order). *)
+let check_model_lanes name store loss_batch chunk =
+  let alone =
     Array.map
       (fun ex ->
-        let tape = Autodiff.tape () in
-        let loss = wrap.Liger_eval.Train.train_loss tape ex in
-        let v = Autodiff.scalar_value loss in
-        Autodiff.backward tape loss;
+        let btape = Batched.tape () in
+        let loss = loss_batch btape [| ex |] in
+        let v = Batched.scalar_value loss in
+        Batched.backward btape loss;
         v)
       chunk
   in
-  let eg = store_grads wrap.Liger_eval.Train.store in
-  Param.zero_grads wrap.Liger_eval.Train.store;
+  let eg = store_grads store in
+  Param.zero_grads store;
   let btape = Batched.tape () in
-  let losses, _ = LM.loss_batch model btape chunk in
+  let losses = loss_batch btape chunk in
   Array.iteri
     (fun l e ->
-      check_close ~tol:1e-5 "model/lane loss" [| e |] (Batched.row_value losses l))
-    expected;
+      if (Batched.row_value losses l).(0) <> e then
+        Alcotest.failf "%s: lane %d loss differs in a %d-lane batch" name l (Array.length chunk))
+    alone;
   Batched.backward btape (Batched.sum_all btape losses);
-  let ag = store_grads wrap.Liger_eval.Train.store in
-  Param.zero_grads wrap.Liger_eval.Train.store;
-  check_grads ~tol:1e-5 "model" eg ag
+  let ag = store_grads store in
+  Param.zero_grads store;
+  check_grads ~tol:1e-9 name eg ag
+
+let first_train n =
+  Array.of_list (List.filteri (fun i _ -> i < n) (Lazy.force small_corpus).Liger_dataset.Pipeline.train)
+
+let test_model_loss_batch_equiv () =
+  let corpus = Lazy.force small_corpus in
+  let module LM = Liger_core.Liger_model in
+  let _, model = Liger_eval.Zoo.liger ~vocab:corpus.Liger_dataset.Pipeline.vocab LM.Naming in
+  let chunk = first_train 4 in
+  if Array.length chunk = 0 then Alcotest.fail "empty train split";
+  check_model_lanes "liger" (LM.store model) (fun bt exs -> LM.loss_batch model bt exs) chunk
+
+(* the baselines keep the same lane contract; the views cut DYPRO's lanes *)
+let test_baselines_loss_batch_equiv () =
+  let corpus = Lazy.force small_corpus in
+  let module B = Liger_baselines in
+  let module LM = Liger_core.Liger_model in
+  let train = corpus.Liger_dataset.Pipeline.train in
+  let chunk = first_train 4 in
+  let d = B.Dypro.create corpus.Liger_dataset.Pipeline.vocab LM.Naming in
+  let view = { Liger_core.Common.n_paths = 2; n_concrete = 2 } in
+  check_model_lanes "dypro" (B.Dypro.store d) (fun bt exs -> B.Dypro.loss_batch d bt ~view exs) chunk;
+  let v = Vocab.create () in
+  List.iter (fun (ex : Liger_core.Common.enc_example) -> B.Code2seq.register v ex.Liger_core.Common.meth) train;
+  Vocab.freeze v;
+  let c = B.Code2seq.create v LM.Naming in
+  check_model_lanes "code2seq" (B.Code2seq.store c) (B.Code2seq.loss_batch c) chunk;
+  let v = Vocab.create () and labels = Vocab.create () in
+  List.iter
+    (fun (ex : Liger_core.Common.enc_example) -> B.Code2vec.register v ~labels ex.Liger_core.Common.meth)
+    train;
+  Vocab.freeze v;
+  Vocab.freeze labels;
+  let c = B.Code2vec.create v ~labels LM.Naming in
+  check_model_lanes "code2vec" (B.Code2vec.store c) (B.Code2vec.loss_batch c) chunk
 
 let test_batched_fit_deterministic () =
   let module Par = Liger_parallel.Parallel in
@@ -753,5 +813,7 @@ let () =
           Alcotest.test_case "loss_batch = loss per lane" `Quick test_model_loss_batch_equiv;
           Alcotest.test_case "fit deterministic across jobs" `Quick
             test_batched_fit_deterministic;
+          Alcotest.test_case "baselines loss_batch = loss per lane" `Quick
+            test_baselines_loss_batch_equiv;
         ] );
     ]

@@ -55,6 +55,37 @@ let test_score_empty_examples () =
   in
   Alcotest.(check (float 0.0)) "empty -> 0" 0.0 (Train.score wrapper [])
 
+(* Padding share of a hand-built chunk: traces of 3 and 1 steps in one
+   example and 2 in the other run as 3 lanes of 3 steps, 9 slots of which
+   6 are real, so a third is padding. *)
+let test_pad_share () =
+  let c = Lazy.force corpus in
+  let base = List.hd c.Pipeline.train in
+  let step = base.Common.traces.(0).Common.steps.(0) in
+  let trace n = { Common.steps = Array.make n step; n_concrete = 1; n_lines = 0 } in
+  let ex lens = { base with Common.traces = Array.of_list (List.map trace lens) } in
+  let chunk = [| ex [ 3; 1 ]; ex [ 2 ] |] in
+  Alcotest.(check (float 1e-12)) "1 - 6/9" (1.0 /. 3.0) (Train.pad_share chunk);
+  Alcotest.(check (float 0.0)) "equal lengths" 0.0 (Train.pad_share [| ex [ 2; 2 ] |]);
+  Alcotest.(check (float 0.0)) "no traces" 0.0 (Train.pad_share [| ex [] |]);
+  (* fit publishes the gauge per chunk while metrics are on *)
+  let module OM = Liger_obs.Metrics in
+  OM.enable ();
+  OM.reset ();
+  Fun.protect ~finally:OM.disable (fun () ->
+      let wrapper, _ =
+        Zoo.liger
+          ~config:{ Liger_model.default_config with Liger_model.dim = 6 }
+          ~vocab:c.Pipeline.vocab Liger_model.Naming
+      in
+      ignore
+        (Train.fit
+           ~options:{ Train.default_options with Train.epochs = 1; batch_size = 2 }
+           (Rng.create 3) wrapper ~train:(Array.to_list chunk) ~valid:[]);
+      Alcotest.(check (option (float 1e-12)))
+        "train.pad_share gauge" (Some (1.0 /. 3.0))
+        (OM.gauge_value (OM.snapshot ()) "train.pad_share"))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics edge cases                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -216,6 +247,7 @@ let () =
           Alcotest.test_case "empty train" `Slow test_fit_empty_train;
           Alcotest.test_case "eval_every" `Slow test_eval_every_skips_validation;
           Alcotest.test_case "empty score" `Slow test_score_empty_examples;
+          Alcotest.test_case "pad share of a chunk" `Quick test_pad_share;
         ] );
       ( "metrics",
         [

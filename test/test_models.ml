@@ -67,11 +67,11 @@ let test_liger_loss_finite_and_backprops () =
       c.Pipeline.vocab Liger_model.Naming
   in
   let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let loss, _ = Liger_model.loss model tape ex in
-  let v = Autodiff.scalar_value loss in
+  let tape = Batched.tape () in
+  let loss = Liger_model.loss_batch model tape [| ex |] in
+  let v = Batched.scalar_value loss in
   Alcotest.(check bool) "finite positive loss" true (Float.is_finite v && v > 0.0);
-  Autodiff.backward tape loss;
+  Batched.backward tape loss;
   Alcotest.(check bool) "gradients flowed" true (Param.grad_norm (Liger_model.store model) > 0.0)
 
 let test_liger_training_reduces_loss () =
@@ -86,10 +86,10 @@ let test_liger_training_reduces_loss () =
   let epoch_loss () =
     List.fold_left
       (fun acc ex ->
-        let tape = Autodiff.tape () in
-        let loss, _ = Liger_model.loss model tape ex in
-        let v = Autodiff.scalar_value loss in
-        Autodiff.backward tape loss;
+        let tape = Batched.tape () in
+        let loss = Liger_model.loss_batch model tape [| ex |] in
+        let v = Batched.scalar_value loss in
+        Batched.backward tape loss;
         ignore (Optimizer.clip_grads (Liger_model.store model) ~max_norm:5.0);
         Optimizer.step opt (Liger_model.store model);
         acc +. v)
@@ -112,9 +112,11 @@ let test_liger_predictions_shape () =
       c.Pipeline.vocab Liger_model.Naming
   in
   let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let toks = Liger_model.predict_name model tape ex in
-  Autodiff.discard tape;
+  let toks =
+    match Liger_model.predict_batch model [| ex |] with
+    | [| Liger_model.Subtokens toks |] -> toks
+    | _ -> Alcotest.fail "expected one sub-token prediction"
+  in
   Alcotest.(check bool) "bounded length" true (List.length toks <= 8);
   List.iter
     (fun t -> Alcotest.(check bool) "token nonempty" true (String.length t > 0))
@@ -135,10 +137,10 @@ let test_liger_ablation_configs_run () =
         }
       in
       let model = Liger_model.create ~config c.Pipeline.vocab Liger_model.Naming in
-      let tape = Autodiff.tape () in
-      let loss, _ = Liger_model.loss model tape ex in
-      Alcotest.(check bool) "finite" true (Float.is_finite (Autodiff.scalar_value loss));
-      Autodiff.backward tape loss)
+      let tape = Batched.tape () in
+      let loss = Liger_model.loss_batch model tape [| ex |] in
+      Alcotest.(check bool) "finite" true (Float.is_finite (Batched.scalar_value loss));
+      Batched.backward tape loss)
     [ (true, true, true); (false, true, true); (true, false, true); (true, true, false) ]
 
 let test_liger_rejects_empty_config () =
@@ -171,9 +173,9 @@ let test_view_changes_encoding () =
     List.find (fun (e : Common.enc_example) -> Array.length e.Common.traces > 1)
       c.Pipeline.train
   in
-  let emb_full = Liger_model.embed_program model ex in
+  let emb_full = (Liger_model.embed_programs model [| ex |]).(0) in
   let emb_small =
-    Liger_model.embed_program model ~view:{ Common.n_paths = 1; n_concrete = 1 } ex
+    (Liger_model.embed_programs model ~view:{ Common.n_paths = 1; n_concrete = 1 } [| ex |]).(0)
   in
   let differs = Array.exists2 (fun a b -> Float.abs (a -. b) > 1e-9) emb_full emb_small in
   Alcotest.(check bool) "embedding differs under view" true differs
@@ -186,9 +188,7 @@ let test_attention_stats_are_weights () =
       c.Pipeline.vocab Liger_model.Naming
   in
   let ex = first_example () in
-  let tape = Autodiff.tape () in
-  let _, _, stats = Liger_model.encode model tape ex in
-  Autodiff.discard tape;
+  let stats = Liger_model.fusion_stats model [| ex |] in
   let w = Liger_model.mean_static_weight stats in
   if stats.Liger_model.fused_steps > 0 then
     Alcotest.(check bool) "weight in [0,1]" true (w >= 0.0 && w <= 1.0)
@@ -201,33 +201,34 @@ let test_liger_classification_head () =
       c.Pipeline.vocab (Liger_model.Classify Coset.n_classes)
   in
   let ex = List.hd c.Pipeline.train in
-  let tape = Autodiff.tape () in
-  let loss, _ = Liger_model.loss model tape ex in
-  Alcotest.(check bool) "finite" true (Float.is_finite (Autodiff.scalar_value loss));
-  Autodiff.backward tape loss;
-  let tape = Autodiff.tape () in
-  let cls = Liger_model.predict_class model tape ex in
-  Autodiff.discard tape;
-  Alcotest.(check bool) "class in range" true (cls >= 0 && cls < Coset.n_classes)
+  let tape = Batched.tape () in
+  let loss = Liger_model.loss_batch model tape [| ex |] in
+  Alcotest.(check bool) "finite" true (Float.is_finite (Batched.scalar_value loss));
+  Batched.backward tape loss;
+  match Liger_model.predict_batch model [| ex |] with
+  | [| Liger_model.Class cls |] ->
+      Alcotest.(check bool) "class in range" true (cls >= 0 && cls < Coset.n_classes)
+  | _ -> Alcotest.fail "expected one class prediction"
 
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let smoke_model (wrapper : Train.model) ex =
-  let tape = Autodiff.tape () in
-  let loss = wrapper.Train.train_loss tape ex in
+  let hooks = Train.hooks wrapper in
+  let tape = Batched.tape () in
+  let loss = hooks.Train.train_loss_batch tape [| ex |] in
   Alcotest.(check bool)
     (wrapper.Train.name ^ " loss finite")
     true
-    (Float.is_finite (Autodiff.scalar_value loss));
-  Autodiff.backward tape loss;
+    (Float.is_finite (Batched.scalar_value loss));
+  Batched.backward tape loss;
   Alcotest.(check bool)
     (wrapper.Train.name ^ " grads flowed")
     true
     (Param.grad_norm wrapper.Train.store > 0.0);
   Param.zero_grads wrapper.Train.store;
-  match wrapper.Train.predict ex with
+  match (hooks.Train.predict_batch [| ex |]).(0) with
   | Train.Subtokens toks ->
       Alcotest.(check bool) "subtoken prediction" true (List.length toks <= 10)
   | Train.Class c -> Alcotest.(check bool) "class prediction" true (c >= 0)

@@ -1,6 +1,6 @@
 (* Tests for the NN layer zoo: parameter-space gradient checks for every
-   layer (GRU, LSTM, TreeLSTM, attention, decoder) and small end-to-end
-   learning sanity checks. *)
+   layer (GRU, LSTM, TreeLSTM, attention, decoder) on the batched tape, and
+   small end-to-end learning sanity checks. *)
 
 open Liger_tensor
 open Liger_nn
@@ -15,19 +15,18 @@ open Liger_trace
    (scaled by 1 + |numeric|).  The decoder stacks a softmax cross-entropy on
    top of a GRU and needs the looser 5e-3. *)
 let param_grad_check ?(eps = 1e-5) ?(tol = 2e-3) store build =
-  let tape = Autodiff.tape () in
+  let tape = Batched.tape () in
   let loss = build tape in
-  Autodiff.backward tape loss;
+  Batched.backward tape loss;
   let grads =
     Param.fold store ~init:[] (fun acc p ->
         (p.Param.name, Tensor.to_array p.Param.grad) :: acc)
   in
   Param.zero_grads store;
   let eval () =
-    let tape = Autodiff.tape () in
-    let l = build tape in
-    let v = Autodiff.scalar_value l in
-    Autodiff.discard tape;
+    let tape = Batched.tape () in
+    let v = Batched.scalar_value (build tape) in
+    Batched.discard tape;
     v
   in
   Param.iter store (fun p ->
@@ -49,6 +48,14 @@ let param_grad_check ?(eps = 1e-5) ?(tol = 2e-3) store build =
 
 let rand_input rng n = Array.init n (fun _ -> Rng.uniform rng (-1.0) 1.0)
 
+(* a [rows × (|a| / rows)] constant leaf *)
+let const ?(rows = 1) tape a = Batched.const_arr tape ~rows ~cols:(Array.length a / rows) a
+
+let sum_sq tape y = Batched.sum_all tape (Batched.mul tape y y)
+
+(* unmasked steps of a sequence *)
+let steps tape xs = List.map (fun x -> (const tape x, None)) xs
+
 (* ------------------------------------------------------------------ *)
 (* Gradient checks                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -58,49 +65,38 @@ let test_linear_grads () =
   let layer = Linear.create store "lin" ~dim_in:3 ~dim_out:2 in
   let rng = Rng.create 2 in
   let x = rand_input rng 3 in
-  param_grad_check store (fun tape ->
-      let y = Linear.forward_tanh layer tape (Autodiff.const tape x) in
-      Autodiff.sum tape (Autodiff.mul tape y y))
+  param_grad_check store (fun tape -> sum_sq tape (Linear.forward_tanh_batch layer tape (const tape x)))
 
 let test_slice_one_minus_grads () =
   let store = Param.create_store ~seed:3 () in
   let p = Param.matrix store "p" 1 6 in
   ignore p;
   param_grad_check store (fun tape ->
-      let v = Autodiff.of_param tape (Param.find store "p") in
-      let a = Autodiff.slice tape v 0 3 in
-      let b = Autodiff.one_minus tape (Autodiff.slice tape v 3 3) in
-      Autodiff.sum tape (Autodiff.mul tape a b))
+      let v = Batched.of_param tape ~lanes:2 (Param.find store "p") in
+      let a = Batched.slice_cols tape v 0 3 in
+      let b = Batched.one_minus tape (Batched.slice_cols tape v 3 3) in
+      Batched.sum_all tape (Batched.mul tape a b))
 
 let test_vanilla_rnn_grads () =
   let store = Param.create_store ~seed:4 () in
   let cell = Rnn_cell.create ~kind:Rnn_cell.Vanilla store "rnn" ~dim_in:3 ~dim_hidden:4 in
   let rng = Rng.create 5 in
   let xs = List.init 3 (fun _ -> rand_input rng 3) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Rnn_cell.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+  param_grad_check store (fun tape -> sum_sq tape (Rnn_cell.last_batch cell tape ~lanes:1 (steps tape xs)))
 
 let test_gru_grads () =
   let store = Param.create_store ~seed:6 () in
   let cell = Rnn_cell.create ~kind:Rnn_cell.Gru store "gru" ~dim_in:2 ~dim_hidden:3 in
   let rng = Rng.create 7 in
   let xs = List.init 3 (fun _ -> rand_input rng 2) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Rnn_cell.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+  param_grad_check store (fun tape -> sum_sq tape (Rnn_cell.last_batch cell tape ~lanes:1 (steps tape xs)))
 
 let test_lstm_grads () =
   let store = Param.create_store ~seed:8 () in
   let cell = Lstm.create store "lstm" ~dim_in:2 ~dim_hidden:3 in
   let rng = Rng.create 9 in
   let xs = List.init 3 (fun _ -> rand_input rng 2) in
-  param_grad_check store (fun tape ->
-      let inputs = List.map (Autodiff.const tape) xs in
-      let h = Lstm.last cell tape inputs in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+  param_grad_check store (fun tape -> sum_sq tape (Lstm.last_batch cell tape ~lanes:1 (steps tape xs)))
 
 let test_treelstm_grads () =
   let store = Param.create_store ~seed:10 () in
@@ -114,9 +110,8 @@ let test_treelstm_grads () =
     | "Assign" -> 0 | "x" -> 1 | "Binop" -> 2 | "+" -> 3 | _ -> 4
   in
   param_grad_check store (fun tape ->
-      let embed tok = Autodiff.row tape emb (label_id tok) in
-      let h = Treelstm.embed_tree cell tape ~embed tree in
-      Autodiff.sum tape (Autodiff.mul tape h h))
+      let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
+      sum_sq tape (Treelstm.embed_forest cell tape ~embed [ tree ]))
 
 let test_attention_grads () =
   let store = Param.create_store ~seed:11 () in
@@ -124,11 +119,11 @@ let test_attention_grads () =
   let rng = Rng.create 12 in
   let q = rand_input rng 2 in
   let hs = Array.init 3 (fun _ -> rand_input rng 3) in
+  let mask = Tensor.full 1 3 1.0 in
   param_grad_check store (fun tape ->
-      let q = Autodiff.const tape q in
-      let hs = Array.map (Autodiff.const tape) hs in
-      let _, fused = Attention.fuse att tape ~q hs in
-      Autodiff.sum tape (Autodiff.mul tape fused fused))
+      let q = const tape q in
+      let hs = Array.map (const tape) hs in
+      sum_sq tape (snd (Attention.fuse_batch att tape ~q ~mask hs)))
 
 let test_decoder_grads () =
   let store = Param.create_store ~seed:13 () in
@@ -140,10 +135,12 @@ let test_decoder_grads () =
   let rng = Rng.create 14 in
   let mem = Array.init 2 (fun _ -> rand_input rng 3) in
   let prog = rand_input rng 3 in
+  let memory_mask = Tensor.full 1 2 1.0 in
   param_grad_check ~tol:5e-3 store (fun tape ->
-      let memory = Array.map (Autodiff.const tape) mem in
-      let program_embedding = Autodiff.const tape prog in
-      Decoder.loss dec tape ~memory ~program_embedding ~target_ids:[ 4; 5 ])
+      let memory = Array.map (const tape) mem in
+      let program_embedding = const tape prog in
+      Decoder.loss_batch dec tape ~memory ~memory_mask ~program_embedding
+        ~target_ids:[| [ 4; 5 ] |])
 
 (* The 8th layer: embedding rows are parameters too, and only the rows used
    in the forward pass should receive gradient. *)
@@ -154,10 +151,9 @@ let test_embedding_grads () =
   Vocab.freeze vocab;
   let e = Embedding_layer.create store "emb" vocab ~dim:3 in
   param_grad_check store (fun tape ->
-      let a = Embedding_layer.embed_id e tape 4 in
-      let b = Embedding_layer.embed_id e tape Vocab.unk_id in
-      let y = Autodiff.add tape a b in
-      Autodiff.sum tape (Autodiff.mul tape y y))
+      let a = Embedding_layer.embed_ids e tape [| 4 |] in
+      let b = Embedding_layer.embed_ids e tape [| Vocab.unk_id |] in
+      sum_sq tape (Batched.add tape a b))
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour                                                            *)
@@ -167,21 +163,27 @@ let test_attention_weights_are_distribution () =
   let store = Param.create_store ~seed:15 () in
   let att = Attention.create store "att" ~dim_h:3 ~dim_q:3 ~dim_att:4 in
   let rng = Rng.create 16 in
-  let tape = Autodiff.tape () in
-  let q = Autodiff.const tape (rand_input rng 3) in
-  let hs = Array.init 4 (fun _ -> Autodiff.const tape (rand_input rng 3)) in
-  let w = Attention.weights att tape ~q hs in
-  let sum = Array.fold_left ( +. ) 0.0 (Autodiff.value w) in
-  Alcotest.(check bool) "sums to 1" true (Float.abs (sum -. 1.0) < 1e-9);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  (* two lanes; lane 1 has only three valid slots *)
+  let q = const ~rows:2 tape (rand_input rng 6) in
+  let hs = Array.init 4 (fun _ -> const ~rows:2 tape (rand_input rng 6)) in
+  let mask = Tensor.full 2 4 1.0 in
+  Tensor.set mask 1 3 0.0;
+  let w = Attention.weights_batch att tape ~q ~mask hs in
+  for l = 0 to 1 do
+    let sum = Array.fold_left ( +. ) 0.0 (Batched.row_value w l) in
+    Alcotest.(check bool) "sums to 1" true (Float.abs (sum -. 1.0) < 1e-9)
+  done;
+  Alcotest.(check (float 0.0)) "masked slot weight" 0.0 (Batched.row_value w 1).(3);
+  Batched.discard tape
 
 let test_fuse_uniform () =
-  let tape = Autodiff.tape () in
-  let hs = [| Autodiff.const tape [| 1.0; 2.0 |]; Autodiff.const tape [| 3.0; 4.0 |] |] in
-  let w, fused = Attention.fuse_uniform tape hs in
-  Alcotest.(check (array (float 1e-9))) "weights" [| 0.5; 0.5 |] (Autodiff.value w);
-  Alcotest.(check (array (float 1e-9))) "mean" [| 2.0; 3.0 |] (Autodiff.value fused);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let hs = [| const tape [| 1.0; 2.0 |]; const tape [| 3.0; 4.0 |] |] in
+  let w, fused = Attention.fuse_uniform_batch tape ~mask:(Tensor.full 1 2 1.0) hs in
+  Alcotest.(check (array (float 1e-9))) "weights" [| 0.5; 0.5 |] (Batched.row_value w 0);
+  Alcotest.(check (array (float 1e-9))) "mean" [| 2.0; 3.0 |] (Batched.row_value fused 0);
+  Batched.discard tape
 
 let test_embedding_unseen_maps_to_unk () =
   let store = Param.create_store ~seed:17 () in
@@ -189,11 +191,12 @@ let test_embedding_unseen_maps_to_unk () =
   ignore (Vocab.id vocab "known");
   Vocab.freeze vocab;
   let e = Embedding_layer.create store "emb" vocab ~dim:4 in
-  let tape = Autodiff.tape () in
-  let unseen = Embedding_layer.embed e tape "never-seen" in
-  let unk = Embedding_layer.embed_id e tape Vocab.unk_id in
-  Alcotest.(check (array (float 0.0))) "same row" (Autodiff.value unk) (Autodiff.value unseen);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let unseen = Embedding_layer.embed_batch e tape [| "never-seen" |] in
+  let unk = Embedding_layer.embed_ids e tape [| Vocab.unk_id |] in
+  Alcotest.(check (array (float 0.0)))
+    "same row" (Batched.row_value unk 0) (Batched.row_value unseen 0);
+  Batched.discard tape
 
 (* A GRU must learn to classify whether a +/-1 sequence has positive sum. *)
 let test_gru_learns_sign_task () =
@@ -210,17 +213,17 @@ let test_gru_learns_sign_task () =
   in
   let encode x = if x > 0 then [| 1.0; 0.0 |] else [| 0.0; 1.0 |] in
   let step train (xs, label) =
-    let tape = Autodiff.tape () in
-    let inputs = List.map (fun x -> Autodiff.const tape (encode x)) xs in
-    let h = Rnn_cell.last cell tape inputs in
-    let logits = Linear.forward out tape h in
-    let loss, probs = Autodiff.softmax_cross_entropy tape logits label in
+    let tape = Batched.tape () in
+    let h = Rnn_cell.last_batch cell tape ~lanes:1 (steps tape (List.map encode xs)) in
+    let logits = Linear.forward_batch out tape h in
+    let loss, _ = Batched.softmax_xent_rows tape logits ~targets:[| label |] ~weights:[| 1.0 |] in
+    let hit = Tensor.argmax (Batched.row_value logits 0) = label in
     if train then begin
-      Autodiff.backward tape loss;
+      Batched.backward tape loss;
       Optimizer.step opt store
     end
-    else Autodiff.discard tape;
-    Tensor.argmax probs = label
+    else Batched.discard tape;
+    hit
   in
   for _ = 1 to 600 do
     ignore (step true (sample ()))
@@ -233,6 +236,31 @@ let test_gru_learns_sign_task () =
   Alcotest.(check bool)
     (Printf.sprintf "accuracy %d%% >= 90%%" !correct)
     true (!correct >= 90)
+
+(* [f] over a one-lane decoder memory built from raw slot vectors *)
+let with_memory mem_raw prog_raw f =
+  let tape = Batched.tape () in
+  let r =
+    f tape ~memory:(Array.map (const tape) mem_raw)
+      ~memory_mask:(Tensor.full 1 (Array.length mem_raw) 1.0)
+      ~program_embedding:(const tape prog_raw)
+  in
+  Batched.discard tape;
+  r
+
+(* [steps] Adam steps on the teacher-forced loss of one target *)
+let train_decoder dec store opt ~steps mem_raw prog_raw target =
+  for _ = 1 to steps do
+    let tape = Batched.tape () in
+    let loss =
+      Decoder.loss_batch dec tape
+        ~memory:(Array.map (const tape) mem_raw)
+        ~memory_mask:(Tensor.full 1 (Array.length mem_raw) 1.0)
+        ~program_embedding:(const tape prog_raw) ~target_ids:[| target |]
+    in
+    Batched.backward tape loss;
+    Optimizer.step opt store
+  done
 
 (* The decoder must learn to emit a fixed 2-token name from a constant
    program embedding: a pure capacity/wiring check. *)
@@ -247,19 +275,11 @@ let test_decoder_learns_constant_sequence () =
   let mem_raw = [| [| 1.0; 0.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0; 0.0 |] |] in
   let prog_raw = [| 0.5; -0.5; 0.25; 0.0 |] in
   let target = [ List.nth ids 0; List.nth ids 1 ] in
-  for _ = 1 to 150 do
-    let tape = Autodiff.tape () in
-    let memory = Array.map (Autodiff.const tape) mem_raw in
-    let program_embedding = Autodiff.const tape prog_raw in
-    let loss = Decoder.loss dec tape ~memory ~program_embedding ~target_ids:target in
-    Autodiff.backward tape loss;
-    Optimizer.step opt store
-  done;
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem_raw in
-  let program_embedding = Autodiff.const tape prog_raw in
-  let decoded = Decoder.decode dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
+  train_decoder dec store opt ~steps:150 mem_raw prog_raw target;
+  let decoded =
+    with_memory mem_raw prog_raw (fun tape ~memory ~memory_mask ~program_embedding ->
+        (Decoder.decode_batch dec tape ~memory ~memory_mask ~program_embedding).(0))
+  in
   Alcotest.(check (list int)) "decodes getMax" target decoded
 
 let test_beam_search_matches_greedy_when_k1 () =
@@ -272,12 +292,11 @@ let test_beam_search_matches_greedy_when_k1 () =
   let rng = Rng.create 31 in
   let mem = Array.init 2 (fun _ -> rand_input rng 3) in
   let prog = rand_input rng 3 in
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem in
-  let program_embedding = Autodiff.const tape prog in
-  let greedy = Decoder.decode dec tape ~memory ~program_embedding in
-  let beam1 = Decoder.decode_beam ~k:1 dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
+  let greedy, beam1 =
+    with_memory mem prog (fun tape ~memory ~memory_mask ~program_embedding ->
+        ( (Decoder.decode_batch dec tape ~memory ~memory_mask ~program_embedding).(0),
+          Decoder.decode_beam ~k:1 dec tape ~memory ~memory_mask ~program_embedding ))
+  in
   Alcotest.(check (list int)) "k=1 equals greedy" greedy beam1
 
 let test_beam_search_never_worse_nll () =
@@ -293,19 +312,11 @@ let test_beam_search_never_worse_nll () =
   let mem_raw = [| [| 1.0; 0.0; 0.0; 0.0 |] |] in
   let prog_raw = [| 0.5; -0.5; 0.25; 0.0 |] in
   let target = [ List.nth ids 0; List.nth ids 1 ] in
-  for _ = 1 to 120 do
-    let tape = Autodiff.tape () in
-    let memory = Array.map (Autodiff.const tape) mem_raw in
-    let program_embedding = Autodiff.const tape prog_raw in
-    let loss = Decoder.loss dec tape ~memory ~program_embedding ~target_ids:target in
-    Autodiff.backward tape loss;
-    Optimizer.step opt store
-  done;
-  let tape = Autodiff.tape () in
-  let memory = Array.map (Autodiff.const tape) mem_raw in
-  let program_embedding = Autodiff.const tape prog_raw in
-  let beam = Decoder.decode_beam ~k:3 dec tape ~memory ~program_embedding in
-  Autodiff.discard tape;
+  train_decoder dec store opt ~steps:120 mem_raw prog_raw target;
+  let beam =
+    with_memory mem_raw prog_raw (fun tape ~memory ~memory_mask ~program_embedding ->
+        Decoder.decode_beam ~k:3 dec tape ~memory ~memory_mask ~program_embedding)
+  in
   Alcotest.(check (list int)) "beam decodes the target" target beam
 
 let test_treelstm_distinguishes_trees () =
@@ -322,12 +333,11 @@ let test_treelstm_distinguishes_trees () =
         Hashtbl.add labels tok i;
         i
   in
-  let embed tape tok = Autodiff.row tape emb (label_id tok) in
   let h_of tree =
-    let tape = Autodiff.tape () in
-    let h = Treelstm.embed_tree cell tape ~embed:(embed tape) tree in
-    let v = Array.copy (Autodiff.value h) in
-    Autodiff.discard tape;
+    let tape = Batched.tape () in
+    let embed labels = Batched.rows_of_param tape emb (Array.map label_id labels) in
+    let v = Batched.row_value (Treelstm.embed_forest cell tape ~embed [ tree ]) 0 in
+    Batched.discard tape;
     v
   in
   let t1 = Encode.Node ("Binop", [ Encode.Leaf "+"; Encode.Leaf "x"; Encode.Leaf "x" ]) in
@@ -341,12 +351,13 @@ let test_treelstm_distinguishes_trees () =
 let test_rnn_run_lengths () =
   let store = Param.create_store ~seed:22 () in
   let cell = Rnn_cell.create store "gru" ~dim_in:2 ~dim_hidden:3 in
-  let tape = Autodiff.tape () in
-  let xs = List.init 5 (fun _ -> Autodiff.const tape [| 1.0; 0.0 |]) in
-  Alcotest.(check int) "one state per input" 5 (List.length (Rnn_cell.run cell tape xs));
-  let h = Rnn_cell.last cell tape [] in
-  Alcotest.(check int) "empty -> initial state" 3 (Autodiff.dim h);
-  Autodiff.discard tape
+  let tape = Batched.tape () in
+  let xs = List.init 5 (fun _ -> (const ~rows:2 tape [| 1.0; 0.0; 0.0; 1.0 |], None)) in
+  Alcotest.(check int) "one state per input" 5 (List.length (Rnn_cell.run_batch cell tape ~lanes:2 xs));
+  let h = Rnn_cell.last_batch cell tape ~lanes:2 [] in
+  Alcotest.(check int) "empty -> initial state" 3 (Batched.dim h);
+  Alcotest.(check int) "one row per lane" 2 (Batched.lanes h);
+  Batched.discard tape
 
 let () =
   Alcotest.run "nn"

@@ -382,15 +382,13 @@ let tiny_model () =
   let open Liger_tensor in
   let store = Param.create_store ~seed:3 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Liger_eval.Train.name = "tiny";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched = None;
-    embed = None;
-  }
+  (* loss = w . [1, 1] per example *)
+  Liger_eval.Train.make ~name:"tiny" ~store
+    ~loss_batch:(fun tape exs ->
+      let g = Array.length exs in
+      Batched.matmul_nt tape (Batched.const_arr tape ~rows:g ~cols:2 (Array.make (2 * g) 1.0)) w)
+    ~predict_batch:(Array.map (fun _ -> Liger_eval.Train.Class 0))
+    ()
 
 let tiny_example () =
   let meth = Liger_lang.Parser.method_of_string "method f(int n) : int { return n; }" in

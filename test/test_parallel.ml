@@ -222,15 +222,12 @@ let test_eval_scores_determinism () =
 let constant_score_model () =
   let store = Param.create_store ~seed:5 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Train.name = "plateau";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Train.Class 0);
-    batched = None;
-    embed = None;
-  }
+  Train.make ~name:"plateau" ~store
+    ~loss_batch:(fun tape exs ->
+      let g = Array.length exs in
+      Batched.matmul_nt tape (Batched.const_arr tape ~rows:g ~cols:2 (Array.make (2 * g) 1.0)) w)
+    ~predict_batch:(Array.map (fun _ -> Train.Class 0))
+    ()
 
 let test_plateau_restores_trained_params () =
   let c = build_corpus ~jobs:1 ~seed:55 in
@@ -259,18 +256,14 @@ let test_nan_grad_skips_step () =
   let w = Param.matrix store "w" 1 2 in
   let init = Tensor.to_array w.Param.value in
   let model =
-    {
-      Train.name = "nan-grad";
-      store;
-      train_loss =
-        (fun tape _ex ->
-          (* simulate a poisoned backward pass *)
-          Tensor.set_idx w.Param.grad 0 Float.nan;
-          Autodiff.const tape [| 1.0 |]);
-      predict = (fun _ -> Train.Class 0);
-      batched = None;
-      embed = None;
-    }
+    Train.make ~name:"nan-grad" ~store
+      ~loss_batch:(fun tape exs ->
+        (* simulate a poisoned backward pass *)
+        Tensor.set_idx w.Param.grad 0 Float.nan;
+        let g = Array.length exs in
+        Batched.const_arr tape ~rows:g ~cols:1 (Array.make g 1.0))
+      ~predict_batch:(Array.map (fun _ -> Train.Class 0))
+      ()
   in
   let c = build_corpus ~jobs:1 ~seed:66 in
   let train = List.filteri (fun i _ -> i < 3) c.Pipeline.train in
@@ -385,6 +378,91 @@ let test_vocab_load_rejects_duplicates () =
   | exception Failure _ -> ());
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Exit from inside a pooled map                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The child half of the exit tests: this executable re-run with
+   [LIGER_TEST_EXIT_CHILD] set.  Both modes exit from inside a 2-lane
+   map, the way the SIGTERM handler's [exit 143] does. *)
+let child_env = "LIGER_TEST_EXIT_CHILD"
+
+let exit_child mode =
+  Parallel.set_jobs 2;
+  let on_worker = Atomic.make false in
+  (* the caller's lane waits (bounded) until the worker holds a task, so
+     the worker is certain to be inside the map *)
+  let wait_for_worker () =
+    let t0 = Unix.gettimeofday () in
+    while (not (Atomic.get on_worker)) && Unix.gettimeofday () -. t0 < 10.0 do
+      Unix.sleepf 0.005
+    done
+  in
+  (* keep a lane busy and polling for up to [s] seconds *)
+  let spin s =
+    let t0 = Unix.gettimeofday () and acc = ref [] in
+    while Unix.gettimeofday () -. t0 < s do
+      acc := [ Unix.gettimeofday () ];
+      ignore (Sys.opaque_identity !acc)
+    done
+  in
+  let task _ =
+    match mode with
+    | "worker-exit" ->
+        (* deterministic: [exit] runs on a worker domain *)
+        if Parallel.in_worker () then begin
+          Atomic.set on_worker true;
+          exit 143
+        end
+        else wait_for_worker ()
+    | _ ->
+        (* a real SIGTERM, handled by whichever lane polls first *)
+        if Parallel.in_worker () && not (Atomic.exchange on_worker true) then
+          Unix.kill (Unix.getpid ()) Sys.sigterm
+        else wait_for_worker ();
+        spin 0.5
+  in
+  Liger_obs.Obs.install_crash_handlers ();
+  ignore (Parallel.map task (Array.init 4 Fun.id));
+  (* not reached when the exit works *)
+  exit 3
+
+(* Run the child in [mode]; it must exit with 143 within [bound] seconds.
+   A child that outlives the bound is killed and fails the test, so a hang
+   cannot block the suite. *)
+let run_exit_child ?(bound = 30.0) mode =
+  let env = Array.append [| child_env ^ "=" ^ mode |] (Unix.environment ()) in
+  let pid =
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  let t0 = Unix.gettimeofday () in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () -. t0 > bound then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "%s: the child did not exit within %.0f s" mode bound
+        end
+        else begin
+          Unix.sleepf 0.02;
+          wait ()
+        end
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+        Alcotest.failf "%s: the child died of signal %d" mode s
+  in
+  Alcotest.(check int) (mode ^ ": exit code") 143 (wait ())
+
+let test_exit_from_worker () = run_exit_child "worker-exit"
+let test_sigterm_in_map () = run_exit_child "sigterm"
+
+let () =
+  match Sys.getenv_opt child_env with
+  | Some mode -> exit_child mode
+  | None -> ()
+
 let () =
   Alcotest.run "parallel"
     [
@@ -427,5 +505,11 @@ let () =
         [
           Alcotest.test_case "add is idempotent" `Quick test_vocab_add_idempotent;
           Alcotest.test_case "load rejects duplicates" `Quick test_vocab_load_rejects_duplicates;
+        ] );
+      ( "exit",
+        [
+          Alcotest.test_case "exit on a worker domain ends the process" `Quick
+            test_exit_from_worker;
+          Alcotest.test_case "SIGTERM inside a pooled map exits 143" `Quick test_sigterm_in_map;
         ] );
     ]

@@ -181,15 +181,13 @@ let tiny_example () =
 let tiny_model () =
   let store = Param.create_store ~seed:3 () in
   let w = Param.matrix store "w" 1 2 in
-  {
-    Liger_eval.Train.name = "tiny";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched = None;
-    embed = None;
-  }
+  (* loss = w . [1, 1] per example *)
+  Liger_eval.Train.make ~name:"tiny" ~store
+    ~loss_batch:(fun tape exs ->
+      let g = Array.length exs in
+      Batched.matmul_nt tape (Batched.const_arr tape ~rows:g ~cols:2 (Array.make (2 * g) 1.0)) w)
+    ~predict_batch:(Array.map (fun _ -> Liger_eval.Train.Class 0))
+    ()
 
 (* same 1×2 parameter, but with mini-batch hooks so [fit] exercises the
    flat-Bigarray engine (and through it the bufpool) *)
@@ -202,20 +200,9 @@ let tiny_batched_model () =
     let y = Batched.matmul_nt btape x w in
     Batched.mul btape y y
   in
-  {
-    Liger_eval.Train.name = "tiny-batched";
-    store;
-    train_loss =
-      (fun tape _ex -> Autodiff.matvec tape w (Autodiff.const tape [| 1.0; 1.0 |]));
-    predict = (fun _ -> Liger_eval.Train.Class 0);
-    batched =
-      Some
-        {
-          Liger_eval.Train.train_loss_batch = loss_batch;
-          predict_batch = (fun chunk -> Array.map (fun _ -> Liger_eval.Train.Class 0) chunk);
-        };
-    embed = None;
-  }
+  Liger_eval.Train.make ~name:"tiny-batched" ~store ~loss_batch
+    ~predict_batch:(Array.map (fun _ -> Liger_eval.Train.Class 0))
+    ()
 
 let gauge_of snap name labels =
   match OM.gauge_value ~labels snap name with
@@ -415,16 +402,14 @@ let test_nonfinite_loss_abort () =
   let store = Param.create_store ~seed:4 () in
   let w = Param.matrix store "w" 1 2 in
   let model =
-    {
-      Liger_eval.Train.name = "poisoned";
-      store;
-      train_loss =
-        (fun tape _ex ->
-          Autodiff.matvec tape w (Autodiff.const tape [| Float.nan; Float.nan |]));
-      predict = (fun _ -> Liger_eval.Train.Class 0);
-      batched = None;
-      embed = None;
-    }
+    Liger_eval.Train.make ~name:"poisoned" ~store
+      ~loss_batch:(fun tape exs ->
+        let g = Array.length exs in
+        Batched.matmul_nt tape
+          (Batched.const_arr tape ~rows:g ~cols:2 (Array.make (2 * g) Float.nan))
+          w)
+      ~predict_batch:(Array.map (fun _ -> Liger_eval.Train.Class 0))
+      ()
   in
   let options = { Train.default_options with Train.epochs = 2 } in
   match Train.fit ~options (Rng.create 1) model ~train:[ tiny_example () ] ~valid:[] with

@@ -89,6 +89,12 @@ let test_rng_sample_without_replacement () =
 (* Tensor kernels                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The GEMM kernels' degenerate shapes are the vector kernels of a
+   one-lane batch: a matvec is [x · W^T] for a 1-row [x], an axpy a rank-1
+   [gemm_nn] update, a dot a 1×1 [gemm_nt], an outer product a one-lane
+   [gemm_tn]. *)
+let row_of a = Tensor.of_array a
+
 let test_matvec_matches_naive () =
   let rng = Rng.create 5 in
   for _ = 1 to 20 do
@@ -98,24 +104,34 @@ let test_matvec_matches_naive () =
       Tensor.set_idx m i (Rng.uniform rng (-2.0) 2.0)
     done;
     let x = Array.init cols (fun _ -> Rng.uniform rng (-2.0) 2.0) in
-    let out = Array.make rows 0.0 in
-    Tensor.matvec m x out;
+    let out = Tensor.create 1 rows in
+    Tensor.gemm_nt ~beta:0.0 (row_of x) m out;
     for i = 0 to rows - 1 do
       let expect = ref 0.0 in
       for j = 0 to cols - 1 do
         expect := !expect +. (Tensor.get m i j *. x.(j))
       done;
-      check_float ~eps:1e-9 "matvec entry" !expect out.(i)
+      check_float ~eps:1e-9 "matvec entry" !expect (Tensor.get out 0 i)
     done
   done
 
-let test_axpy () =
-  let x = [| 1.0; 2.0; 3.0 |] and y = [| 10.0; 20.0; 30.0 |] in
-  Tensor.axpy 2.0 x y;
-  Alcotest.(check (array (float 1e-9))) "axpy" [| 12.0; 24.0; 36.0 |] y
+(* [y <- a*x + y] as the rank-1 update [Y <- a·[1]·X + Y] *)
+let axpy a x y =
+  let yt = row_of y in
+  Tensor.gemm_nn ~alpha:a ~beta:1.0 (Tensor.full 1 1 1.0) (row_of x) yt;
+  Tensor.to_array yt
 
-let test_dot () =
-  check_float "dot" 32.0 (Tensor.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |])
+let dot x y =
+  let c = Tensor.create 1 1 in
+  Tensor.gemm_nt ~beta:0.0 (row_of x) (row_of y) c;
+  Tensor.get c 0 0
+
+let test_axpy () =
+  Alcotest.(check (array (float 1e-9)))
+    "axpy" [| 12.0; 24.0; 36.0 |]
+    (axpy 2.0 [| 1.0; 2.0; 3.0 |] [| 10.0; 20.0; 30.0 |])
+
+let test_dot () = check_float "dot" 32.0 (dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |])
 
 let test_softmax_sums_to_one () =
   let s = Tensor.softmax [| 1.0; 2.0; 3.0; -1.0 |] in
@@ -137,10 +153,10 @@ let test_argmax () =
   Alcotest.(check int) "argmax" 2 (Tensor.argmax [| 0.1; 0.5; 0.9; 0.2 |]);
   Alcotest.(check int) "ties to first" 0 (Tensor.argmax [| 1.0; 1.0 |])
 
+(* the weight gradient of a one-lane affine layer: [M += g^T x] *)
 let test_outer_acc () =
-  let g = [| 1.0; 2.0 |] and x = [| 3.0; 4.0; 5.0 |] in
   let m = Tensor.create 2 3 in
-  Tensor.outer_acc g x m;
+  Tensor.gemm_tn ~beta:1.0 (row_of [| 1.0; 2.0 |]) (row_of [| 3.0; 4.0; 5.0 |]) m;
   check_float "outer(0,0)" 3.0 (Tensor.get m 0 0);
   check_float "outer(1,2)" 10.0 (Tensor.get m 1 2)
 
@@ -149,44 +165,55 @@ let test_outer_acc () =
 (* ------------------------------------------------------------------ *)
 
 (* Numerically check d loss / d input for a scalar-valued graph builder
-   [f : tape -> Autodiff.node list -> Autodiff.node] over leaf inputs. *)
+   [f : tape -> Batched.node list -> Batched.node] over one-lane leaf
+   inputs.  The inputs live in a parameter store and enter the tape
+   through [Batched.of_param], so their gradients outlive the tape. *)
 let grad_check ?(eps = 1e-5) ?(tol = 1e-3) name f inputs =
+  let store = Param.create_store () in
+  let params =
+    List.mapi
+      (fun k a ->
+        let p = Param.vector store (Printf.sprintf "in%d" k) (Array.length a) in
+        Tensor.blit_from_array a p.Param.value;
+        p)
+      inputs
+  in
+  let run () =
+    let tape = Batched.tape () in
+    (tape, f tape (List.map (Batched.of_param tape ~lanes:1) params))
+  in
+  let eval () =
+    let tape, l = run () in
+    let v = Batched.scalar_value l in
+    Batched.discard tape;
+    v
+  in
   (* analytic *)
-  let tape = Autodiff.tape () in
-  let nodes = List.map (Autodiff.const tape) inputs in
-  let loss = f tape nodes in
-  Autodiff.backward tape loss;
-  let analytic = List.map (fun n -> Array.copy (Autodiff.grad n)) nodes in
+  let tape, loss = run () in
+  Batched.backward tape loss;
+  let analytic = List.map (fun p -> Tensor.to_array p.Param.grad) params in
   (* numeric *)
   List.iteri
-    (fun k input ->
+    (fun k p ->
+      let value = p.Param.value in
       Array.iteri
-        (fun i _ ->
-          let perturbed delta =
-            let inputs' =
-              List.mapi
-                (fun k' a ->
-                  if k' = k then
-                    Array.mapi (fun i' x -> if i' = i then x +. delta else x) a
-                  else a)
-                inputs
-            in
-            let tape = Autodiff.tape () in
-            let nodes' = List.map (Autodiff.const tape) inputs' in
-            let l = f tape nodes' in
-            let v = Autodiff.scalar_value l in
-            Autodiff.discard tape;
-            v
-          in
-          let numeric = (perturbed eps -. perturbed (-.eps)) /. (2.0 *. eps) in
-          let a = (List.nth analytic k).(i) in
+        (fun i a ->
+          let orig = Tensor.get_idx value i in
+          Tensor.set_idx value i (orig +. eps);
+          let up = eval () in
+          Tensor.set_idx value i (orig -. eps);
+          let down = eval () in
+          Tensor.set_idx value i orig;
+          let numeric = (up -. down) /. (2.0 *. eps) in
           if Float.abs (a -. numeric) > tol *. (1.0 +. Float.abs numeric) then
             Alcotest.failf "%s: grad mismatch input %d[%d]: analytic %.6g numeric %.6g"
               name k i a numeric)
-        input)
-    inputs
+        (List.nth analytic k))
+    params
 
 let rand_vec rng n = Array.init n (fun _ -> Rng.uniform rng (-1.5) 1.5)
+
+let sum_sq t y = Batched.sum_all t (Batched.mul t y y)
 
 let test_grad_add_mul_tanh () =
   let rng = Rng.create 31 in
@@ -195,7 +222,7 @@ let test_grad_add_mul_tanh () =
     grad_check "add-mul-tanh"
       (fun t -> function
         | [ a; b ] ->
-            Autodiff.sum t (Autodiff.tanh_ t (Autodiff.mul t (Autodiff.add t a b) b))
+            Batched.sum_all t (Batched.tanh_ t (Batched.mul t (Batched.add t a b) b))
         | _ -> assert false)
       [ x; y ]
   done
@@ -206,7 +233,8 @@ let test_grad_sub_neg_scale () =
   grad_check "sub-neg-scale"
     (fun t -> function
       | [ a; b ] ->
-          Autodiff.sum t (Autodiff.scale t 2.5 (Autodiff.sub t a (Autodiff.neg t b)))
+          Batched.sum_all t
+            (Batched.scale t 2.5 (Batched.sub t a (Batched.scale t (-1.0) b)))
       | _ -> assert false)
     [ x; y ]
 
@@ -215,14 +243,14 @@ let test_grad_sigmoid_relu () =
   let x = rand_vec rng 5 in
   grad_check "sigmoid"
     (fun t -> function
-      | [ a ] -> Autodiff.sum t (Autodiff.sigmoid t a)
+      | [ a ] -> Batched.sum_all t (Batched.sigmoid t a)
       | _ -> assert false)
     [ x ];
   (* keep values away from the relu kink *)
   let x = Array.map (fun v -> if Float.abs v < 0.1 then v +. 0.3 else v) x in
   grad_check "relu"
     (fun t -> function
-      | [ a ] -> Autodiff.sum t (Autodiff.relu t a)
+      | [ a ] -> Batched.sum_all t (Batched.relu t a)
       | _ -> assert false)
     [ x ]
 
@@ -231,9 +259,7 @@ let test_grad_dot_concat () =
   let x = rand_vec rng 3 and y = rand_vec rng 2 in
   grad_check "concat-dot"
     (fun t -> function
-      | [ a; b ] ->
-          let c = Autodiff.concat t [ a; b ] in
-          Autodiff.dot t c c
+      | [ a; b ] -> sum_sq t (Batched.concat_cols t [ a; b ])
       | _ -> assert false)
     [ x; y ]
 
@@ -242,7 +268,7 @@ let test_grad_softmax () =
   let x = rand_vec rng 4 and w = rand_vec rng 4 in
   grad_check "softmax-weighted"
     (fun t -> function
-      | [ a; b ] -> Autodiff.dot t (Autodiff.softmax t a) b
+      | [ a; b ] -> Batched.sum_all t (Batched.mul t (Batched.softmax_rows t a) b)
       | _ -> assert false)
     [ x; w ]
 
@@ -252,22 +278,18 @@ let test_grad_weighted_sum () =
   let v3 = rand_vec rng 4 in
   grad_check "weighted_sum"
     (fun t -> function
-      | [ w; v1; v2; v3 ] ->
-          let out = Autodiff.weighted_sum t w [| v1; v2; v3 |] in
-          Autodiff.sum t (Autodiff.mul t out out)
+      | [ w; v1; v2; v3 ] -> sum_sq t (Batched.weighted_sum t w [| v1; v2; v3 |])
       | _ -> assert false)
     [ w; v1; v2; v3 ]
 
+(* max-pooling two vectors is a group max over their two rows *)
 let test_grad_max_pool () =
-  let rng = Rng.create 37 in
   (* separate the values so perturbation never flips the argmax *)
   let v1 = [| 1.0; -2.0; 0.5 |] and v2 = [| -1.0; 2.0; 0.0 |] in
-  ignore rng;
   grad_check "max_pool"
     (fun t -> function
       | [ a; b ] ->
-          let m = Autodiff.max_pool t [| a; b |] in
-          Autodiff.sum t (Autodiff.mul t m m)
+          sum_sq t (Batched.group_max t (Batched.vstack t [ a; b ]) ~groups:[| 0; 0 |] ~n_groups:1)
       | _ -> assert false)
     [ v1; v2 ]
 
@@ -276,7 +298,11 @@ let test_grad_mean_pool () =
   let v1 = rand_vec rng 4 and v2 = rand_vec rng 4 and v3 = rand_vec rng 4 in
   grad_check "mean_pool"
     (fun t -> function
-      | [ a; b; c ] -> Autodiff.sum t (Autodiff.mean_pool t [| a; b; c |])
+      | [ a; b; c ] ->
+          Batched.sum_all t
+            (Batched.scale t (1.0 /. 3.0)
+               (Batched.group_sum t (Batched.vstack t [ a; b; c ]) ~groups:[| 0; 0; 0 |]
+                  ~n_groups:1))
       | _ -> assert false)
     [ v1; v2; v3 ]
 
@@ -285,36 +311,34 @@ let test_grad_cross_entropy () =
   let x = rand_vec rng 5 in
   grad_check "softmax_ce"
     (fun t -> function
-      | [ a ] -> fst (Autodiff.softmax_cross_entropy t a 2)
+      | [ a ] -> fst (Batched.softmax_xent_rows t a ~targets:[| 2 |] ~weights:[| 1.0 |])
       | _ -> assert false)
     [ x ]
 
 let test_grad_matvec_param () =
-  (* Check d loss / d W and d loss / d x through a parameter matvec. *)
+  (* d loss / d W and d loss / d x through a parameter matvec (one-lane
+     GEMM); [grad_check] covers the input, this loop the weight *)
   let store = Param.create_store ~seed:1 () in
   let w = Param.matrix store "w" 3 4 in
   let rng = Rng.create 40 in
   let x = rand_vec rng 4 in
+  let build t = function [ xn ] -> sum_sq t (Batched.matmul_nt t xn w) | _ -> assert false in
+  grad_check "matvec dx" build [ x ];
   let run () =
-    let tape = Autodiff.tape () in
-    let xn = Autodiff.const tape x in
-    let y = Autodiff.matvec tape w xn in
-    let loss = Autodiff.sum tape (Autodiff.mul tape y y) in
-    (tape, xn, loss)
+    let tape = Batched.tape () in
+    (tape, build tape [ Batched.const_arr tape ~rows:1 ~cols:4 x ])
   in
-  let tape, xn, loss = run () in
-  Autodiff.backward tape loss;
-  let wgrad = Tensor.to_array w.Param.grad in
-  let xgrad = Array.copy (Autodiff.grad xn) in
   Param.zero_grads store;
+  let tape, loss = run () in
+  Batched.backward tape loss;
+  let wgrad = Tensor.to_array w.Param.grad in
   let eps = 1e-5 in
   let eval () =
-    let tape, _, loss = run () in
-    let v = Autodiff.scalar_value loss in
-    Autodiff.discard tape;
+    let tape, loss = run () in
+    let v = Batched.scalar_value loss in
+    Batched.discard tape;
     v
   in
-  (* weight entries *)
   for i = 0 to Tensor.size w.Param.value - 1 do
     let orig = Tensor.get_idx w.Param.value i in
     Tensor.set_idx w.Param.value i (orig +. eps);
@@ -325,28 +349,14 @@ let test_grad_matvec_param () =
     let numeric = (up -. down) /. (2.0 *. eps) in
     if Float.abs (wgrad.(i) -. numeric) > 1e-3 *. (1.0 +. Float.abs numeric) then
       Alcotest.failf "matvec dW[%d]: analytic %.6g numeric %.6g" i wgrad.(i) numeric
-  done;
-  (* input entries *)
-  Array.iteri
-    (fun i _ ->
-      let orig = x.(i) in
-      x.(i) <- orig +. eps;
-      let up = eval () in
-      x.(i) <- orig -. eps;
-      let down = eval () in
-      x.(i) <- orig;
-      let numeric = (up -. down) /. (2.0 *. eps) in
-      if Float.abs (xgrad.(i) -. numeric) > 1e-3 *. (1.0 +. Float.abs numeric) then
-        Alcotest.failf "matvec dx[%d]: analytic %.6g numeric %.6g" i xgrad.(i) numeric)
-    x
+  done
 
 let test_grad_embedding_row () =
   let store = Param.create_store ~seed:2 () in
   let e = Param.embedding store "emb" 6 3 in
-  let tape = Autodiff.tape () in
-  let r = Autodiff.row tape e 4 in
-  let loss = Autodiff.sum tape (Autodiff.mul tape r r) in
-  Autodiff.backward tape loss;
+  let tape = Batched.tape () in
+  let r = Batched.rows_of_param tape e [| 4 |] in
+  Batched.backward tape (sum_sq tape r);
   (* gradient of sum(r^2) is 2r, only on row 4 *)
   for i = 0 to 5 do
     for j = 0 to 2 do
@@ -364,8 +374,8 @@ let test_grad_shared_subexpression () =
   grad_check "shared"
     (fun t -> function
       | [ a ] ->
-          let y = Autodiff.tanh_ t a in
-          Autodiff.sum t (Autodiff.add t (Autodiff.mul t y y) y)
+          let y = Batched.tanh_ t a in
+          Batched.sum_all t (Batched.add t (Batched.mul t y y) y)
       | _ -> assert false)
     [ x ]
 
@@ -377,22 +387,21 @@ let test_grad_shared_subexpression () =
 let converges opt_maker =
   let store = Param.create_store ~seed:9 () in
   let w = Param.matrix store "w" 2 3 in
-  let target = Tensor.of_rows [| [| 1.0; -2.0; 0.5 |]; [| 0.0; 1.0; 2.0 |] |] in
+  let target = [| [| 1.0; -2.0; 0.5 |]; [| 0.0; 1.0; 2.0 |] |] in
   let rng = Rng.create 10 in
   let opt = opt_maker () in
   let loss_at_start = ref 0.0 and loss_at_end = ref 0.0 in
   for step = 1 to 400 do
     let x = rand_vec rng 3 in
-    let y = Array.make 2 0.0 in
-    Tensor.matvec target x y;
-    let tape = Autodiff.tape () in
-    let xn = Autodiff.const tape x in
-    let pred = Autodiff.matvec tape w xn in
-    let diff = Autodiff.sub tape pred (Autodiff.const tape y) in
-    let loss = Autodiff.sum tape (Autodiff.mul tape diff diff) in
-    if step = 1 then loss_at_start := Autodiff.scalar_value loss;
-    if step = 400 then loss_at_end := Autodiff.scalar_value loss;
-    Autodiff.backward tape loss;
+    let y =
+      Array.map (fun row -> Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) row x)) target
+    in
+    let tape = Batched.tape () in
+    let pred = Batched.matmul_nt tape (Batched.const_arr tape ~rows:1 ~cols:3 x) w in
+    let loss = sum_sq tape (Batched.sub tape pred (Batched.const_arr tape ~rows:1 ~cols:2 y)) in
+    if step = 1 then loss_at_start := Batched.scalar_value loss;
+    if step = 400 then loss_at_end := Batched.scalar_value loss;
+    Batched.backward tape loss;
     Optimizer.step opt store
   done;
   (!loss_at_start, !loss_at_end)
@@ -502,14 +511,13 @@ let prop_axpy_linear =
   QCheck.Test.make ~name:"axpy linearity" ~count:200
     QCheck.(pair (float_range (-2.0) 2.0) qvec)
     (fun (a, x) ->
-      let y = Array.make (Array.length x) 1.0 in
-      Tensor.axpy a x y;
+      let y = axpy a x (Array.make (Array.length x) 1.0) in
       Array.for_all2 (fun yi xi -> feq ~eps:1e-9 yi ((a *. xi) +. 1.0)) y x)
 
 let prop_dot_symmetric =
   QCheck.Test.make ~name:"dot symmetric" ~count:200 qvec (fun x ->
       let y = Array.map (fun v -> v *. 0.5) x in
-      feq ~eps:1e-9 (Tensor.dot x y) (Tensor.dot y x))
+      feq ~eps:1e-9 (dot x y) (dot y x))
 
 let prop_grad_check_random_graph =
   (* Random composite graphs must pass finite-difference checks. *)
@@ -525,12 +533,12 @@ let prop_grad_check_random_graph =
              | [ a ] ->
                  let y =
                    match pick with
-                   | 0 -> Autodiff.tanh_ t a
-                   | 1 -> Autodiff.sigmoid t a
-                   | 2 -> Autodiff.mul t a a
-                   | _ -> Autodiff.softmax t a
+                   | 0 -> Batched.tanh_ t a
+                   | 1 -> Batched.sigmoid t a
+                   | 2 -> Batched.mul t a a
+                   | _ -> Batched.softmax_rows t a
                  in
-                 Autodiff.sum t (Autodiff.mul t y a)
+                 Batched.sum_all t (Batched.mul t y a)
              | _ -> assert false)
            [ x ]
        with Failure msg -> QCheck.Test.fail_report msg);
